@@ -3,8 +3,13 @@
 The mesh generator triangulates a structured grid, carves out the triangles
 that intersect the hole disk, snaps the rim vertices onto the circle and
 relaxes the neighbouring interior vertices with one guarded Laplacian pass.
-Point location uses a straight walk through the neighbour table with an
-exhaustive fallback.
+Point location walks all query points through the neighbour table at once;
+the walks that stall at the boundary or run out of steps are settled
+together by one blocked exhaustive scan. Boundary distances, nearest facets
+and inward normals are batched the same way. The single-point functions
+(`locate_point`, `boundary_distance`, `nearest_boundary_facet`,
+`inward_normal`, `barycentric`) are thin wrappers over the batched ones, so
+each geometric kernel exists once.
 """
 
 from __future__ import annotations
@@ -348,76 +353,62 @@ def _smooth_near_hole(vertices, triangles, rim_mask, center, r, h):
 # ---------------------------------------------------------------------------
 # point location
 
+# elements per (points x triangles) or (points x facets) block: the batched
+# scans and distance passes stay a few MB whatever the number of points
+_BLOCK_ELEMS = 1 << 18
+
+
+def _blocks(n, width):
+    """Slices of at most _BLOCK_ELEMS // width rows covering range(n)."""
+    rows = max(1, _BLOCK_ELEMS // max(width, 1))
+    return [slice(s, s + rows) for s in range(0, n, rows)]
+
+
+def _barycentrics(mesh, t, x, y):
+    """Barycentric coordinates (l0, l1, l2) of the points (x, y) in triangles t.
+
+    Broadcasts: `t` holds one triangle per point, or `slice(None)` with
+    (m, 1) coordinates gives the (m, triangles) coordinates of every pair.
+    """
+    p = mesh.vertices[mesh.triangles[t]]
+    area2 = 2.0 * mesh.areas[t]
+    l0 = ((p[..., 1, 0] - x) * (p[..., 2, 1] - y)
+          - (p[..., 2, 0] - x) * (p[..., 1, 1] - y)) / area2
+    l1 = ((p[..., 2, 0] - x) * (p[..., 0, 1] - y)
+          - (p[..., 0, 0] - x) * (p[..., 2, 1] - y)) / area2
+    return l0, l1, 1.0 - l0 - l1
+
 
 def barycentric(mesh, triangle, x):
     """Barycentric coordinates of x in the given triangle (may be negative)."""
-    a, b, c = mesh.vertices[mesh.triangles[triangle]]
-    area = mesh.areas[triangle]
     x = np.asarray(x, dtype=float)
-    l0 = 0.5 * ((b[0] - x[0]) * (c[1] - x[1]) - (c[0] - x[0]) * (b[1] - x[1])) / area
-    l1 = 0.5 * ((c[0] - x[0]) * (a[1] - x[1]) - (a[0] - x[0]) * (c[1] - x[1])) / area
-    return np.array([l0, l1, 1.0 - l0 - l1])
+    return np.array([l[0] for l in _barycentrics(mesh, [triangle], x[0], x[1])])
 
 
 def locate_point(mesh, x, hint=None):
     """Locate x in the mesh: PointLocation inside, OutsideDomain otherwise.
 
-    Walks through the neighbor table starting from `hint` (triangle 0 when
-    absent); falls back to an exhaustive scan when the walk leaves the mesh,
-    which also covers non-convexity around the hole.
+    The single-point form of `locate_points`, starting the walk at `hint`
+    (triangle 0 when absent).
     """
-    x = np.asarray(x, dtype=float)
-    start = 0 if hint is None else int(hint)
-    start = min(max(start, 0), mesh.num_triangles - 1)
-    t = _walk(mesh, x, start)
-    if t is None:
-        t = _exhaustive(mesh, x)
-    if t is None:
-        nearest, dist = _closest_boundary_point(mesh, x)
-        return OutsideDomain(nearest=nearest, distance=dist)
-    b = barycentric(mesh, t, x)
-    b = np.clip(b, 0.0, None)
-    b /= b.sum()
-    return PointLocation(triangle=t, bary=b)
-
-
-def _walk(mesh, x, start):
-    t = start
-    for _ in range(2 * mesh.num_triangles + 16):
-        b = barycentric(mesh, t, x)
-        i = int(np.argmin(b))
-        if b[i] >= -_BARY_TOL:
-            return t
-        nxt = mesh.neighbors[t, i]
-        if nxt < 0:
-            return None
-        t = int(nxt)
-    return None
-
-
-def _exhaustive(mesh, x):
-    p = mesh.vertices[mesh.triangles]
-    area2 = 2.0 * mesh.areas
-    l0 = ((p[:, 1, 0] - x[0]) * (p[:, 2, 1] - x[1])
-          - (p[:, 2, 0] - x[0]) * (p[:, 1, 1] - x[1])) / area2
-    l1 = ((p[:, 2, 0] - x[0]) * (p[:, 0, 1] - x[1])
-          - (p[:, 0, 0] - x[0]) * (p[:, 2, 1] - x[1])) / area2
-    l2 = 1.0 - l0 - l1
-    worst = np.minimum(np.minimum(l0, l1), l2)
-    best = int(np.argmax(worst))
-    if worst[best] >= -_BARY_TOL:
-        return best
-    return None
+    x = np.asarray(x, dtype=float).reshape(1, 2)
+    tri, bary = locate_points(mesh, x, [0 if hint is None else int(hint)])
+    if tri[0] < 0:
+        _, nearest, dist = nearest_boundary_facets(mesh, x)
+        return OutsideDomain(nearest=nearest[0], distance=float(dist[0]))
+    return PointLocation(triangle=int(tri[0]), bary=bary[0])
 
 
 def locate_points(mesh, points, hints=None):
     """Vectorized walk-based location of many points at once.
 
     Returns (triangle, bary) with triangle = -1 for points outside; the
-    barycentric rows of outside points are zero. Points whose walk hits the
-    boundary are re-checked exhaustively before being declared outside.
+    barycentric rows of outside points are zero. All points walk through the
+    neighbor table together. The walks that stall at the boundary (the hole
+    makes the domain non-convex) or run out of steps are settled by one
+    exhaustive scan over every triangle, done in blocks of points.
     """
-    points = np.asarray(points, dtype=float)
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
     cur = np.zeros(n, dtype=np.int64) if hints is None else np.asarray(
         hints, dtype=np.int64
@@ -427,60 +418,66 @@ def locate_points(mesh, points, hints=None):
     bary_out = np.zeros((n, 3))
     active = np.arange(n)
 
-    verts = mesh.vertices
-    tris = mesh.triangles
-    areas2 = 2.0 * mesh.areas
-
     max_iter = 4 * int(np.sqrt(mesh.num_triangles)) + 64
     for _ in range(max_iter):
         if len(active) == 0:
             break
         t = cur[active]
-        p = verts[tris[t]]
         x = points[active]
-        l0 = ((p[:, 1, 0] - x[:, 0]) * (p[:, 2, 1] - x[:, 1])
-              - (p[:, 2, 0] - x[:, 0]) * (p[:, 1, 1] - x[:, 1])) / areas2[t]
-        l1 = ((p[:, 2, 0] - x[:, 0]) * (p[:, 0, 1] - x[:, 1])
-              - (p[:, 0, 0] - x[:, 0]) * (p[:, 2, 1] - x[:, 1])) / areas2[t]
-        bary = np.column_stack([l0, l1, 1.0 - l0 - l1])
+        bary = np.column_stack(_barycentrics(mesh, t, x[:, 0], x[:, 1]))
         worst = bary.argmin(axis=1)
-        wval = bary[np.arange(len(active)), worst]
-        inside = wval >= -_BARY_TOL
-        if np.any(inside):
-            idx = active[inside]
-            tri_out[idx] = t[inside]
-            b = np.clip(bary[inside], 0.0, None)
-            bary_out[idx] = b / b.sum(axis=1, keepdims=True)
+        inside = bary[np.arange(len(active)), worst] >= -_BARY_TOL
+        _store(tri_out, bary_out, active[inside], t[inside], bary[inside])
         nxt = mesh.neighbors[t, worst]
-        stalled = ~inside & (nxt < 0)
         moving = ~inside & (nxt >= 0)
         cur[active[moving]] = nxt[moving]
-        # stalled points leave the vectorized walk; resolved below
         active = active[moving]
 
-    # anything unresolved (stalled at a boundary or out of iterations)
-    for i in np.where(tri_out < 0)[0]:
-        loc = locate_point(mesh, points[i], hint=int(cur[i]))
-        if isinstance(loc, PointLocation):
-            tri_out[i] = loc.triangle
-            bary_out[i] = loc.bary
+    unresolved = np.where(tri_out < 0)[0]
+    for block in _blocks(len(unresolved), mesh.num_triangles):
+        idx = unresolved[block]
+        x = points[idx]
+        lam = _barycentrics(mesh, slice(None), x[:, :1], x[:, 1:])
+        worst = np.minimum(np.minimum(lam[0], lam[1]), lam[2])
+        best = worst.argmax(axis=1)
+        rows = np.arange(len(idx))
+        inside = worst[rows, best] >= -_BARY_TOL
+        bary = np.column_stack([l[rows, best] for l in lam])
+        _store(tri_out, bary_out, idx[inside], best[inside], bary[inside])
     return tri_out, bary_out
+
+
+def _store(tri_out, bary_out, idx, tri, bary):
+    """Record located points, with their barycentrics clipped and renormalized."""
+    tri_out[idx] = tri
+    b = np.clip(bary, 0.0, None)
+    bary_out[idx] = b / b.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
 # boundary distance
 
 
-def _segment_distances(points, segments):
-    """(np, ns) matrix of point-to-segment distances."""
-    a = segments[:, 0][None, :, :]
-    b = segments[:, 1][None, :, :]
-    p = points[:, None, :]
-    ab = b - a
-    denom = np.maximum((ab * ab).sum(axis=2), 1e-300)
-    t = np.clip(((p - a) * ab).sum(axis=2) / denom, 0.0, 1.0)
-    closest = a + t[:, :, None] * ab
-    return np.linalg.norm(p - closest, axis=2), closest
+def _segment_distances(points, segments, closest=False):
+    """(np, ns) matrix of point-to-segment distances.
+
+    With `closest`, also the (np, ns) x and y coordinates of the closest
+    point on each segment.
+    """
+    px, py = points[:, 0:1], points[:, 1:2]
+    ax, ay = segments[:, 0, 0], segments[:, 0, 1]
+    abx = segments[:, 1, 0] - ax
+    aby = segments[:, 1, 1] - ay
+    denom = np.maximum(abx * abx + aby * aby, 1e-300)
+    t = np.clip(((px - ax) * abx + (py - ay) * aby) / denom, 0.0, 1.0)
+    cx = ax + t * abx
+    cy = ay + t * aby
+    dx = px - cx
+    dy = py - cy
+    d = np.sqrt(dx * dx + dy * dy)
+    if closest:
+        return d, cx, cy
+    return d
 
 
 def boundary_distance(mesh, x, tag=None):
@@ -488,46 +485,63 @@ def boundary_distance(mesh, x, tag=None):
 
     With `tag` given, only facets carrying that tag are considered.
     """
-    x = np.asarray(x, dtype=float).reshape(1, 2)
-    segs = mesh.boundary_segments(tag)
-    if len(segs) == 0:
-        raise InvalidGeometry(f"mesh has no boundary facets with tag {tag!r}")
-    d, _ = _segment_distances(x, segs)
-    return float(d.min())
+    return float(boundary_distances(mesh, x, tag)[0])
 
 
 def boundary_distances(mesh, points, tag=None):
-    """Vectorized boundary_distance for an (n, 2) array of points."""
+    """Vectorized boundary_distance for an (n, 2) array of points.
+
+    `tag` may also be a tuple of tags (None standing for every facet): the
+    result is then one distance array per entry, all from a single pass
+    over the facets.
+    """
+    tags = tag if isinstance(tag, tuple) else (tag,)
+    columns = []
+    for t in tags:
+        if t is None:
+            columns.append(slice(None))
+            continue
+        cols = np.where(mesh.boundary_tags == t)[0]
+        if len(cols) == 0:
+            raise InvalidGeometry(f"mesh has no boundary facets with tag {t!r}")
+        columns.append(cols)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    segs = mesh.boundary_segments(tag)
-    d, _ = _segment_distances(points, segs)
-    return d.min(axis=1)
-
-
-def _closest_boundary_point(mesh, x):
-    x = np.asarray(x, dtype=float).reshape(1, 2)
     segs = mesh.boundary_segments()
-    d, closest = _segment_distances(x, segs)
-    j = int(d[0].argmin())
-    return closest[0, j].copy(), float(d[0, j])
+    out = [np.empty(len(points)) for _ in tags]
+    for block in _blocks(len(points), len(segs)):
+        d = _segment_distances(points[block], segs)
+        for o, cols in zip(out, columns):
+            o[block] = d[:, cols].min(axis=1)
+    return tuple(out) if isinstance(tag, tuple) else out[0]
+
+
+def nearest_boundary_facets(mesh, points):
+    """Nearest boundary facet of each point: (facets, closest points, distances)."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    d, cx, cy = _segment_distances(points, mesh.boundary_segments(), closest=True)
+    j = d.argmin(axis=1)
+    rows = np.arange(len(points))
+    return j, np.column_stack([cx[rows, j], cy[rows, j]]), d[rows, j]
 
 
 def nearest_boundary_facet(mesh, x):
     """Index of the boundary facet closest to x, with the closest point."""
-    x = np.asarray(x, dtype=float).reshape(1, 2)
-    segs = mesh.boundary_segments()
-    d, closest = _segment_distances(x, segs)
-    j = int(d[0].argmin())
-    return j, closest[0, j].copy()
+    j, p, _ = nearest_boundary_facets(mesh, x)
+    return int(j[0]), p[0]
+
+
+def inward_normals(mesh, facets):
+    """(m, 2) unit normals of boundary facets, pointing into the domain."""
+    edges = mesh.boundary_edges[facets]
+    t = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    # boundary edges are directed with the domain on the left
+    return np.column_stack([-t[:, 1], t[:, 0]])
 
 
 def inward_normal(mesh, facet):
     """Unit normal of a boundary facet pointing into the domain."""
-    a, b = mesh.vertices[mesh.boundary_edges[facet]]
-    t = b - a
-    t /= np.linalg.norm(t)
-    # boundary edges are directed with the domain on the left
-    return np.array([-t[1], t[0]])
+    return inward_normals(mesh, [facet])[0]
 
 
 # ---------------------------------------------------------------------------

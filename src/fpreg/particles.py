@@ -8,7 +8,11 @@ length is already encoded in the density increment).
 
 Particles leaving the domain are projected back to the nearest interior
 point at a configurable distance from the boundary (or killed, by flag);
-every projection is counted.
+every exit is counted. Each step locates all particles in one batch and
+handles all of its exits in one batch: nearest facets and inward normals
+together, then one batched relocation per offset scale. The last location
+of every particle is kept for the next step, and one pass over the boundary
+facets updates both the boundary and the hole distance minima.
 """
 
 from __future__ import annotations
@@ -95,7 +99,11 @@ def _velocities(rho, drift, tri, bary, floor, formula):
 
 
 class _Advector:
-    """Shared stepping scaffolding: location, projection, logging."""
+    """Shared stepping scaffolding: location, projection, logging.
+
+    `hints` and `bary` hold the last location of every alive particle,
+    projected ones included, so `located()` needs no second search.
+    """
 
     def __init__(self, pset, space, grid, boundary="project", project_tol=1e-2,
                  track_distances=True):
@@ -109,6 +117,7 @@ class _Advector:
         self.x = pset.positions.copy()
         self.alive = pset.alive.copy()
         self.hints = pset.hints.copy()
+        self.bary = np.zeros((pset.n, 3))
         self.exit_counts = np.zeros(pset.n, dtype=np.int64)
         self.track = track_distances
         self.has_hole = bool(np.any(self.mesh.boundary_tags == meshmod.HOLE))
@@ -117,56 +126,62 @@ class _Advector:
         self.rows_pos = []
         self.rows_alive = []
         self.ks = []
-        self._relocate()
+        self._place(np.where(self.alive)[0])
         self._update_distances()
 
-    def _relocate(self):
-        idx = np.where(self.alive)[0]
-        if len(idx) == 0:
-            return
+    def _place(self, idx):
+        """Locate particles idx; apply the boundary policy to those outside."""
         tri, bary = meshmod.locate_points(self.mesh, self.x[idx], self.hints[idx])
-        outside = tri < 0
-        for j in np.where(outside)[0]:
-            self._handle_exit(idx[j])
-        self.hints[idx[~outside]] = tri[~outside]
-        self._tri = tri
-        self._bary = bary
-        self._idx = idx
+        inside = tri >= 0
+        self.hints[idx[inside]] = tri[inside]
+        self.bary[idx[inside]] = bary[inside]
+        self._handle_exits(idx[~inside])
 
-    def _handle_exit(self, i):
-        self.exit_counts[i] += 1
-        if self.boundary == "kill":
-            self.alive[i] = False
+    def _handle_exits(self, out):
+        """Count the exits of particles `out`, then project or kill them.
+
+        A projected particle moves from the closest boundary point along the
+        inward normal of its facet, by project_tol or, where that lands
+        outside, by the first smaller offset that lands inside.
+        """
+        if len(out) == 0:
             return
-        facet, p = meshmod.nearest_boundary_facet(self.mesh, self.x[i])
-        n = meshmod.inward_normal(self.mesh, facet)
+        self.exit_counts[out] += 1
+        if self.boundary == "kill":
+            self.alive[out] = False
+            return
+        facets, p, _ = meshmod.nearest_boundary_facets(self.mesh, self.x[out])
+        n = meshmod.inward_normals(self.mesh, facets)
         for scale in (1.0, 0.5, 0.25, 0.1):
             cand = p + scale * self.project_tol * n
-            loc = meshmod.locate_point(self.mesh, cand, hint=int(self.hints[i]))
-            if isinstance(loc, meshmod.PointLocation):
-                self.x[i] = cand
-                self.hints[i] = loc.triangle
+            tri, bary = meshmod.locate_points(self.mesh, cand, self.hints[out])
+            ok = tri >= 0
+            placed = out[ok]
+            self.x[placed] = cand[ok]
+            self.hints[placed] = tri[ok]
+            self.bary[placed] = bary[ok]
+            out, p, n = out[~ok], p[~ok], n[~ok]
+            if len(out) == 0:
                 return
-        self.alive[i] = False  # wedged in a corner; give up on this particle
+        self.alive[out] = False  # wedged in a corner; give up on these particles
 
     def located(self):
-        """(indices, tri, bary) of currently alive, inside particles."""
+        """(indices, tri, bary) of the alive particles, from their last location."""
         idx = np.where(self.alive)[0]
-        tri, bary = meshmod.locate_points(self.mesh, self.x[idx], self.hints[idx])
-        ok = tri >= 0
-        return idx[ok], tri[ok], bary[ok]
+        return idx, self.hints[idx], self.bary[idx]
 
     def _update_distances(self):
+        """Fold the boundary (and hole) distances of alive particles into
+        the running minima, from one pass over the boundary facets."""
         if not self.track:
             return
         idx = np.where(self.alive)[0]
         if len(idx) == 0:
             return
-        d = meshmod.boundary_distances(self.mesh, self.x[idx])
-        np.minimum.at(self.min_bdist, idx, d)
-        if self.has_hole:
-            dh = meshmod.boundary_distances(self.mesh, self.x[idx], tag=meshmod.HOLE)
-            np.minimum.at(self.min_hdist, idx, dh)
+        tags = (None, meshmod.HOLE) if self.has_hole else (None,)
+        dists = meshmod.boundary_distances(self.mesh, self.x[idx], tag=tags)
+        for best, d in zip((self.min_bdist, self.min_hdist), dists):
+            best[idx] = np.minimum(best[idx], d)
 
     def commit(self, k):
         self.ks.append(k)
@@ -175,12 +190,7 @@ class _Advector:
 
     def step_to(self, new_positions, idx):
         self.x[idx] = new_positions
-        # re-locate and apply the boundary policy to escapees
-        tri, bary = meshmod.locate_points(self.mesh, self.x[idx], self.hints[idx])
-        outside = tri < 0
-        for j in np.where(outside)[0]:
-            self._handle_exit(idx[j])
-        self.hints[idx[~outside]] = tri[~outside]
+        self._place(idx)
         self._update_distances()
 
     def log(self):

@@ -131,6 +131,34 @@ class TestLocate:
             assert isinstance(a, PointLocation) and isinstance(b, PointLocation)
             assert a.triangle == b.triangle
 
+    def test_stalled_walks_match_oracle_without_scalar_fallback(
+            self, desk_mesh, monkeypatch):
+        def scalar_fallback(*args, **kwargs):
+            raise AssertionError("locate_points fell back to locate_point")
+
+        monkeypatch.setattr(meshmod, "locate_point", scalar_fallback)
+        # a few points per block, so the exhaustive pass runs in several
+        monkeypatch.setattr(meshmod, "_BLOCK_ELEMS", 7 * desk_mesh.num_triangles)
+        rng = np.random.default_rng(31)
+        # walks from the left of the hole toward its shadow stall on the rim
+        shadow = np.column_stack([rng.uniform(0.6, 3.9, 60),
+                                  rng.uniform(-0.45, 0.45, 60)])
+        in_hole = 0.45 * rng.uniform(-1, 1, size=(20, 2)) / np.sqrt(2)
+        beyond = rng.uniform(4.05, 5.0, size=(20, 2)) * rng.choice([-1, 1],
+                                                                    (20, 2))
+        pts = np.vstack([shadow, in_hole, beyond])
+        start = brute_force_locate(desk_mesh, (-3.0, 0.0))
+        tri, bary = locate_points(desk_mesh, pts,
+                                  np.full(len(pts), start))
+        for p, t, b in zip(pts, tri, bary):
+            if brute_force_locate(desk_mesh, p) == -1:
+                assert t == -1 and not b.any()
+            else:
+                verts = desk_mesh.vertices[desk_mesh.triangles[t]]
+                assert brute_force_locate(TriangleMesh(verts, [[0, 1, 2]]), p) == 0
+                assert np.linalg.norm(b @ verts - p) <= 1e-10
+        assert (tri[:60] >= 0).all() and (tri[60:] == -1).all()
+
     def test_outside_returns_marker(self, desk_mesh):
         out = locate_point(desk_mesh, (0.0, 0.0))  # inside the hole
         assert isinstance(out, OutsideDomain)
@@ -165,6 +193,33 @@ class TestBoundaryDistance:
         db = boundary_distances(desk_mesh, b[keep])
         gap = np.linalg.norm(a[keep] - b[keep], axis=1)
         assert np.all(np.abs(da - db) <= gap + 1e-12)
+
+    def test_matches_dense_reference_bitwise(self, desk_mesh):
+        def dense(points, segs):
+            a, b = segs[None, :, 0], segs[None, :, 1]
+            p = points[:, None, :]
+            ab = b - a
+            denom = np.maximum((ab * ab).sum(axis=2), 1e-300)
+            t = np.clip(((p - a) * ab).sum(axis=2) / denom, 0.0, 1.0)
+            return np.linalg.norm(p - (a + t[:, :, None] * ab), axis=2)
+
+        pts = np.random.default_rng(8).uniform(-4.5, 4.5, size=(400, 2))
+        for tag in (None, "outer", "hole"):
+            want = dense(pts, desk_mesh.boundary_segments(tag)).min(axis=1)
+            assert np.array_equal(boundary_distances(desk_mesh, pts, tag), want)
+        d_all, d_hole = boundary_distances(desk_mesh, pts, tag=(None, "hole"))
+        assert np.array_equal(d_all, boundary_distances(desk_mesh, pts))
+        assert np.array_equal(d_hole, boundary_distances(desk_mesh, pts, "hole"))
+
+    def test_missing_tag_rejected(self):
+        square = generate_rect_with_hole((0, 2), (0, 2), (1, 1), 0.0, 0.5)
+        pts = np.array([[0.5, 0.5], [1.0, 1.5]])
+        with pytest.raises(InvalidGeometry):
+            boundary_distances(square, pts, tag="hole")
+        with pytest.raises(InvalidGeometry):
+            boundary_distances(square, pts, tag=(None, "hole"))
+        with pytest.raises(InvalidGeometry):
+            boundary_distance(square, pts[0], tag="hole")
 
     def test_tag_filter(self, desk_mesh):
         d_hole = boundary_distance(desk_mesh, (0.0, 0.7), tag="hole")

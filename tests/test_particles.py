@@ -3,10 +3,13 @@ import pytest
 
 from fpreg import analytic, density, fem
 from fpreg.fpsolve import make_time_grid, solve_fp
-from fpreg.mesh import generate_rect_with_hole, locate_points
+from fpreg.mesh import (
+    HOLE, boundary_distances, generate_rect_with_hole, locate_points,
+)
 from fpreg.particles import (
-    ParticleSet, advect_euler, advect_gf, advect_rk2, gf_potential,
-    hausdorff, velocity_at, write_summary_json, write_trajectory_csv,
+    ParticleSet, _Advector, advect_euler, advect_gf, advect_rk2,
+    gf_potential, hausdorff, velocity_at, write_summary_json,
+    write_trajectory_csv,
 )
 
 
@@ -281,6 +284,110 @@ class TestGf:
         final = log.positions[-1]
         assert np.all(np.abs(final.mean(axis=0) - mean)
                       <= 3 * np.sqrt(var / n) + 8e-3)
+
+
+def _contains(mesh, t, x, tol=1e-12):
+    """Whether triangle t holds x, from its own edge-function test."""
+    a, b, c = mesh.vertices[mesh.triangles[t]]
+
+    def cross(o, p, q):
+        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+    area2 = cross(a, b, c)
+    return min(cross(b, c, x), cross(c, a, x), cross(a, b, x)) >= -tol * area2
+
+
+def _project_oracle(mesh, x, tol):
+    """Where the project policy puts one escaped particle, or None if killed."""
+    best = []
+    for j, (a, b) in enumerate(mesh.boundary_segments()):
+        ab = b - a
+        s = np.clip(np.dot(x - a, ab) / np.dot(ab, ab), 0.0, 1.0)
+        best.append((float(np.hypot(*(x - a - s * ab))), j, a + s * ab, ab))
+    best.sort(key=lambda item: item[:2])
+    assert best[1][0] - best[0][0] > 1e-9  # no tie to break
+    _, _, p, ab = best[0]
+    normal = np.array([-ab[1], ab[0]]) / np.hypot(*ab)
+    for scale in (1.0, 0.5, 0.25, 0.1):
+        cand = p + scale * tol * normal
+        if any(_contains(mesh, t, cand) for t in range(mesh.num_triangles)):
+            return cand
+    return None
+
+
+class TestProjectPolicy:
+    def test_escapees_match_per_particle_oracle(self):
+        mesh = generate_rect_with_hole((-2, 2), (-2, 2), (0, 0), 0.5, 0.25)
+        space = fem.build_space(mesh, 1)
+        grid = make_time_grid(1.0, 1, 1.0)
+        rng = np.random.default_rng(4)
+        start = rng.uniform(-1.8, 1.8, size=(40, 2))
+        start = start[np.linalg.norm(start, axis=1) > 0.7][:24]
+        adv = _Advector(ParticleSet(start), space, grid, project_tol=0.05)
+        assert not adv.exit_counts.any()
+        # past each outer wall, into the hole near its rim, and staying put
+        angles = np.array([0.3, 1.9, 2.6, 4.1, 5.5])
+        target = np.vstack([
+            [[2.3, 0.7], [-2.1, -1.3], [0.4, 2.05], [-0.9, -2.6]],
+            0.4 * np.column_stack([np.cos(angles), np.sin(angles)]),
+            start[9:],
+        ])
+        pushed = np.arange(9)
+        adv.step_to(target, np.arange(len(target)))
+        assert np.array_equal(adv.exit_counts, np.arange(len(start)) < 9)
+        assert adv.alive.all()
+        for i in pushed:
+            want = _project_oracle(mesh, target[i], 0.05)
+            assert np.allclose(adv.x[i], want, rtol=0, atol=1e-12)
+        assert np.allclose(boundary_distances(mesh, adv.x[pushed]), 0.05,
+                           rtol=0, atol=1e-12)
+        assert np.array_equal(adv.x[9:], start[9:])
+        idx, tri, bary = adv.located()
+        assert np.array_equal(idx, np.arange(len(start)))
+        for i, t, b in zip(idx, tri, bary):
+            assert _contains(mesh, t, adv.x[i])
+            verts = mesh.vertices[mesh.triangles[t]]
+            assert np.linalg.norm(b @ verts - adv.x[i]) <= 1e-12
+
+    def test_wedged_particle_killed(self):
+        # every offset of a strip 0.05 wide leaves it for project_tol = 1
+        strip = generate_rect_with_hole((0, 1), (0, 0.05), (0, 0), 0.0, 0.05)
+        space = fem.build_space(strip, 1)
+        adv = _Advector(ParticleSet([[0.52, 0.02], [0.33, 0.03]]), space,
+                        make_time_grid(1.0, 1, 1.0), project_tol=1.0)
+        adv.step_to(np.array([[0.52, 0.08], [0.33, 0.01]]), np.arange(2))
+        assert _project_oracle(strip, np.array([0.52, 0.08]), 1.0) is None
+        assert adv.exit_counts.tolist() == [1, 0]
+        assert adv.alive.tolist() == [False, True]
+        idx, _, _ = adv.located()
+        assert idx.tolist() == [1]
+
+
+def test_distance_minima_are_per_step_minima():
+    mesh = generate_rect_with_hole((-2, 2), (-2, 2), (0, 0), 0.5, 0.25)
+    space = fem.build_space(mesh, 1)
+    rho = fem.interpolate(space, lambda p: np.ones(len(p)))
+    # u = -(x - c) with c = (-0.3, 0) inside the hole: many particles
+    # leave through the rim and are projected back
+    V = fem.interpolate(space, lambda p: 0.5 * ((p[:, 0] + 0.3) ** 2
+                                                + p[:, 1] ** 2))
+    grad_V = fem.VectorField.from_gradient(V)
+    grid = make_time_grid(2.0, 8, 1.0)
+    traj = solve_fp(space, rho, fem.VectorField.zero(space), grid,
+                    supg=False, store_every=1)
+    traj.snapshots[:] = rho.coeffs
+    pts = np.random.default_rng(12).uniform(-1.9, 1.9, size=(60, 2))
+    pts = pts[np.linalg.norm(pts, axis=1) > 0.6]
+    log = advect_euler(ParticleSet(pts), traj, grad_V)
+    assert log.exit_counts.sum() > 0
+    for got, tag in ((log.min_boundary_distance, None),
+                     (log.min_hole_distance, HOLE)):
+        per_step = np.array([boundary_distances(mesh, x, tag=tag)
+                             for x in log.positions])
+        per_step[~log.alive] = np.inf
+        want = per_step.min(axis=0)
+        want[np.isinf(want)] = np.nan
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestHausdorff:
