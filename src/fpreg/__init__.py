@@ -7,7 +7,7 @@ from .mesh import (
     save_mesh_json, load_mesh_json, load_gmsh,
 )
 from .fem import (
-    FeSpace, FeField, SparseOperator, VectorField,
+    FeSpace, FeField, VectorField,
     build_space, interpolate, evaluate, evaluate_gradient, integrate,
     assemble_mass, assemble_fp_form, assemble_supg, solve_linear,
     save_field_binary, load_field_binary, save_field_json, load_field_json,

@@ -88,7 +88,7 @@ def assemble_smoother(space, params):
     lap = space.shape_laplacians()  # (E, ndl)
     local = space.areas[:, None, None] * np.einsum("ei,ej->eij", lap, lap)
     A = fem._assemble(space, local)
-    A = A + fem.assemble_mass(space).matrix / params.delta
+    A.data += fem.assemble_mass(space).data / params.delta
 
     rows, cols, vals = [], [], []
     for facet in space.interior_facets():
@@ -107,7 +107,7 @@ def assemble_smoother(space, params):
         )
         A = A + F.tocsr()
     A = 0.5 * (A + A.T)  # the form is symmetric; remove scatter noise
-    return fem.SparseOperator(A.tocsr(), symmetric=True)
+    return A.tocsr()
 
 
 def smooth_distance(space, w, params):
@@ -116,8 +116,8 @@ def smooth_distance(space, w, params):
     The boundary condition w_d = tol is imposed strongly on all boundary
     dofs by restricting the system to the interior unknowns.
     """
-    A = assemble_smoother(space, params).matrix
-    rhs = fem.assemble_mass(space).matrix @ w.coeffs / params.delta
+    A = assemble_smoother(space, params)
+    rhs = fem.assemble_mass(space) @ w.coeffs / params.delta
 
     n = space.n_dofs
     bdofs = space.boundary_dofs()
@@ -129,7 +129,7 @@ def smooth_distance(space, w, params):
     keep = ~mask
     A_ii = A[keep][:, keep]
     x = np.array(lift)
-    x[keep] = fem.solve_linear(fem.SparseOperator(A_ii, symmetric=True), rhs[keep])
+    x[keep] = fem.solve_linear(A_ii, rhs[keep])
     x[mask] = params.tol
     return fem.FeField(space, x)
 

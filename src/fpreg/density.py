@@ -180,10 +180,9 @@ def _em_once(points, k, cov_reg, seed, max_iter, tol):
         per_point = logsumexp(lp, axis=1)
         loglik = float(per_point.sum())
         if trace and loglik < trace[-1] - 1e-10 * abs(trace[-1]):
-            # additive covariance regularization can produce a marginal
-            # decrease near the optimum; stop at the recorded peak
+            # additive covariance regularization can lower the likelihood;
+            # stop at the recorded peak, which is not a converged fit
             g = prev
-            converged = True
             break
         trace.append(loglik)
         if len(trace) >= 2:

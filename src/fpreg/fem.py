@@ -4,6 +4,11 @@ Provides spaces, fields, quadrature, assembly of the mass / Fokker-Planck /
 SUPG forms, point evaluation and sparse linear solves. All bilinear forms are
 assembled with symmetric Gauss rules on the reference triangle; physical
 gradients come from the constant per-element barycentric gradients.
+
+Every form of a space is a `csr_matrix` on the space's one element pattern
+(`FeSpace.pattern`), so forms of the same space add by adding their `data`.
+All sparse solves go through `LinearSolver`: one LU factorization, reused
+for solves verified to a relative residual by iterative refinement.
 """
 
 from __future__ import annotations
@@ -194,6 +199,31 @@ class FeSpace:
         if key not in self._cache:
             _, _, _, _, dn = self.quad(degree)
             self._cache[key] = np.einsum("qni,eid->eqnd", dn, self.grad_lambda)
+        return self._cache[key]
+
+    def pattern(self):
+        """The element CSR pattern (indptr, indices) and the scatter index.
+
+        The pattern holds every (i, j) pair of dofs that share an element,
+        explicit zeros included, with sorted column indices. scatter[e*ndl*ndl
+        + a*ndl + b] is the slot of local entry (a, b) of element e. The index
+        arrays are shared by every matrix assembled on the space, so they are
+        read-only.
+        """
+        key = "pattern"
+        if key not in self._cache:
+            conn = self.conn
+            ndl = conn.shape[1]
+            n = self.n_dofs
+            rows = np.repeat(conn, ndl, axis=1).ravel()
+            cols = np.tile(conn, (1, ndl)).ravel()
+            keys, scatter = np.unique(rows * n + cols, return_inverse=True)
+            indices = (keys % n).astype(np.int32)
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+            indices.flags.writeable = False
+            indptr.flags.writeable = False
+            self._cache[key] = (indptr, indices, scatter)
         return self._cache[key]
 
     def shape_laplacians(self):
@@ -467,36 +497,11 @@ def as_vector_field(space, grad_V):
 # operators
 
 
-class SparseOperator:
-    """CSR matrix wrapper carrying a symmetry flag."""
-
-    def __init__(self, matrix, symmetric=False):
-        matrix = sp.csr_matrix(matrix)
-        matrix.sum_duplicates()
-        self.matrix = matrix
-        self.symmetric = symmetric
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def __matmul__(self, other):
-        return self.matrix @ other
-
-    def toarray(self):
-        return self.matrix.toarray()
-
-
 def _assemble(space, local):
-    """Scatter (E, ndl, ndl) local matrices into a global CSR matrix."""
-    conn = space.conn
-    e, ndl = conn.shape
-    rows = np.repeat(conn, ndl, axis=1).ravel()
-    cols = np.tile(conn, (1, ndl)).ravel()
-    mat = sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs)
-    )
-    return mat.tocsr()
+    """Sum (E, ndl, ndl) local matrices into a CSR matrix on the space's pattern."""
+    indptr, indices, scatter = space.pattern()
+    data = np.bincount(scatter, weights=local.ravel(), minlength=len(indices))
+    return sp.csr_matrix((data, indices, indptr), shape=(space.n_dofs,) * 2)
 
 
 def assemble_mass(space):
@@ -505,10 +510,11 @@ def assemble_mass(space):
     if key not in space._cache:
         lam, w, _, n, _ = space.quad(2 * space.degree)
         ref = np.einsum("q,qi,qj->ij", w, n, n)
+        # a bitwise symmetric reference matrix gives a bitwise symmetric
+        # global one: both (i, j) and (j, i) sum the same terms in element order
+        ref = 0.5 * (ref + ref.T)
         local = space.areas[:, None, None] * ref[None, :, :]
-        m = _assemble(space, local)
-        m = 0.5 * (m + m.T)  # scatter order can leave sub-ulp asymmetry
-        space._cache[key] = SparseOperator(m.tocsr(), symmetric=True)
+        space._cache[key] = _assemble(space, local)
     return space._cache[key]
 
 
@@ -526,7 +532,7 @@ def assemble_fp_form(space, grad_V):
     bdotg = np.einsum("eqd,eqid->eqi", b, g)  # (grad V . grad test_i)
     driftm = np.einsum("q,qj,eqi->eij", w, n, bdotg)
     local = space.areas[:, None, None] * (stiff + driftm)
-    return SparseOperator(_assemble(space, local), symmetric=False)
+    return _assemble(space, local)
 
 
 def _xi(pe):
@@ -541,7 +547,7 @@ def _xi(pe):
     return out
 
 
-def assemble_supg(space, grad_V, dt):
+def assemble_supg(space, grad_V):
     """SUPG stabilization pair (S_time, S_space).
 
     Test functions are perturbed by tau_K (b . grad v) with b = -grad V and
@@ -549,8 +555,6 @@ def assemble_supg(space, grad_V, dt):
     magnitude). S_time multiplies the discrete time derivative, S_space the
     advection-diffusion block.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     drift = as_vector_field(space, grad_V)
     deg = 2 * space.degree + 1
     lam, w, _, n, _ = space.quad(deg)
@@ -575,21 +579,19 @@ def assemble_supg(space, grad_V, dt):
     s_space = np.einsum("q,eqj,eqi->eij", w, strong, bdotg)
 
     scale = (tau * space.areas)[:, None, None]
-    op_t = SparseOperator(_assemble(space, scale * s_time), symmetric=False)
-    op_s = SparseOperator(_assemble(space, scale * s_space), symmetric=False)
-    return op_t, op_s
+    return _assemble(space, scale * s_time), _assemble(space, scale * s_space)
 
 
 # ---------------------------------------------------------------------------
 # linear solves
 
 
-def _as_matrix(a):
-    return a.matrix if isinstance(a, SparseOperator) else sp.csr_matrix(a)
-
-
 class LinearSolver:
-    """Reusable factorization (direct) or preconditioned iteration.
+    """An LU factorization reused for solves verified by iterative refinement.
+
+    The factor may be of a nearby matrix: `refine` and `solve` take the
+    matrix to solve with, and the refinement sweeps against it absorb the
+    difference (Crank-Nicolson steps reuse one factor across a changing dt).
 
     With equilibrate=True the matrix is symmetrically scaled to unit
     diagonal before factorization, which keeps wildly varying row scales
@@ -597,73 +599,64 @@ class LinearSolver:
     double precision. The solved equation is unchanged.
     """
 
-    def __init__(self, A, method="direct", tol=1e-10, equilibrate=False):
-        self.A = _as_matrix(A)
-        n, m = self.A.shape
+    def __init__(self, A, tol=1e-10, equilibrate=False):
+        self.tol = tol
+        self.equilibrate = equilibrate
+        self.factor(A)
+
+    def factor(self, A):
+        """Factor A, replacing the current factor; SolveFailure if singular."""
+        n, m = A.shape
         if n != m:
             raise ValueError("matrix must be square")
-        self.method = method
-        self.tol = tol
         self._scale = None
-        if equilibrate:
-            d = np.abs(self.A.diagonal())
+        if self.equilibrate:
+            d = np.abs(A.diagonal())
             d[d == 0] = 1.0
             self._scale = 1.0 / np.sqrt(d)
-        if method == "direct":
-            target = self.A
-            if self._scale is not None:
-                D = sp.diags(self._scale)
-                target = (D @ self.A @ D).tocsc()
-            try:
-                self._lu = spla.splu(sp.csc_matrix(target))
-            except RuntimeError as exc:
-                raise SolveFailure(f"factorization failed: {exc}") from exc
-            self._pc = None
-        elif method == "iterative":
-            self._lu = None
-            self._pc = self._make_pc(self.A)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+            D = sp.diags(self._scale)
+            A = D @ A @ D
+        try:
+            self._lu = spla.splu(sp.csc_matrix(A))
+        except RuntimeError as exc:
+            raise SolveFailure(f"factorization failed: {exc}") from exc
 
     def _apply_lu(self, r):
         if self._scale is None:
             return self._lu.solve(r)
         return self._scale * self._lu.solve(self._scale * r)
 
-    @staticmethod
-    def _make_pc(A):
-        ilu = spla.spilu(A.tocsc(), drop_tol=1e-5, fill_factor=12)
-        return spla.LinearOperator(A.shape, ilu.solve)
+    def refine(self, A, b, sweeps):
+        """LU solve of A x = b, then up to `sweeps` refinement sweeps.
 
-    def solve(self, b):
-        b = np.asarray(b, dtype=float)
+        Returns (x, True) as soon as ||b - A x|| <= tol ||b||. When the
+        sweeps run out, the x of the last sweep is returned unchecked, with
+        False.
+        """
         bnorm = np.linalg.norm(b)
-        if self.method == "direct":
-            x = self._apply_lu(b)
-            # refinement sweeps recover digits lost to ill-conditioning
-            # (the eps-regularized transport potential reaches condition
-            # numbers around 1e13, needing several sweeps)
-            for _ in range(8):
-                r = b - self.A @ x
-                if np.linalg.norm(r) <= self.tol * max(bnorm, 1e-300):
-                    break
-                x = x + self._apply_lu(r)
-        else:
-            x, info = spla.bicgstab(
-                self.A, b, rtol=min(self.tol, 1e-12), atol=0.0,
-                M=self._pc, maxiter=400,
-            )
-            if info != 0:
-                # rebuild the preconditioner once, then fall back to direct
-                self._pc = self._make_pc(self.A)
-                x, info = spla.bicgstab(
-                    self.A, b, rtol=min(self.tol, 1e-12), atol=0.0,
-                    M=self._pc, maxiter=400,
-                )
-                if info != 0:
-                    x = spla.splu(self.A.tocsc()).solve(b)
-        res = np.linalg.norm(self.A @ x - b) / (bnorm if bnorm > 0 else 1.0)
-        if not np.isfinite(res) or res > self.tol:
+        target = self.tol * (bnorm if bnorm > 0 else 1.0)
+        x = self._apply_lu(b)
+        for _ in range(sweeps):
+            r = b - A @ x
+            if np.linalg.norm(r) <= target:
+                return x, True
+            x = x + self._apply_lu(r)
+        return x, False
+
+    def solve(self, A, b, sweeps=8):
+        """`refine`, with the last sweep checked: x, or SolveFailure.
+
+        The sweeps recover digits lost to ill-conditioning (the
+        eps-regularized transport potential reaches condition numbers
+        around 1e13, needing several sweeps).
+        """
+        b = np.asarray(b, dtype=float)
+        x, reached = self.refine(A, b, sweeps)
+        if reached:
+            return x
+        bnorm = np.linalg.norm(b)
+        res = np.linalg.norm(b - A @ x) / (bnorm if bnorm > 0 else 1.0)
+        if not res <= self.tol:
             raise SolveFailure(
                 f"linear solve reached relative residual {res:.3e} "
                 f"(target {self.tol:.1e})", residual=float(res),
@@ -671,14 +664,10 @@ class LinearSolver:
         return x
 
 
-def solve_linear(A, b, opts=None):
-    """One-shot sparse solve with a verified relative residual <= 1e-10."""
-    opts = dict(opts or {})
-    solver = LinearSolver(
-        A, method=opts.get("method", "direct"), tol=opts.get("tol", 1e-10),
-        equilibrate=opts.get("equilibrate", False),
-    )
-    return solver.solve(b)
+def solve_linear(A, b, tol=1e-10, equilibrate=False):
+    """One-shot sparse solve with a verified relative residual <= tol."""
+    A = sp.csr_matrix(A)
+    return LinearSolver(A, tol=tol, equilibrate=equilibrate).solve(A, b)
 
 
 # ---------------------------------------------------------------------------

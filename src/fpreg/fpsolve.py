@@ -2,7 +2,9 @@
 
 Steps the density on a power-law time grid with optional SUPG stabilization,
 recording per-step diagnostics (mass, L1 and KL distance to the target,
-minimum nodal value) and storing coefficient snapshots.
+minimum nodal value) and storing coefficient snapshots. The forms share the
+space's one sparse pattern, so each step's matrices are sums of their `data`
+arrays, and one lagged `fem.LinearSolver` factorization serves many steps.
 """
 
 from __future__ import annotations
@@ -97,101 +99,6 @@ class _MetricRecorder:
         return l1, kl, int((~pos).sum())
 
 
-def _aligned_pair(P, Q):
-    """Return (P, Q) rebuilt on their union sparsity pattern.
-
-    scipy's sparse addition prunes entries that cancel to exact zero, so the
-    union pattern is built from structure-only matrices and the values are
-    injected by position.
-    """
-    P = P.tocsr()
-    Q = Q.tocsr()
-    sP = P.copy()
-    sP.data = np.ones_like(sP.data)
-    sQ = Q.copy()
-    sQ.data = np.ones_like(sQ.data)
-    U = (sP + sQ).tocsr()
-    U.sort_indices()
-
-    n = U.shape[1]
-    rows_u = np.repeat(np.arange(U.shape[0]), np.diff(U.indptr))
-    keys_u = rows_u * n + U.indices  # globally sorted row-major keys
-
-    def inject(A):
-        A = A.tocsr()
-        A.sort_indices()
-        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        keys = rows * n + A.indices
-        pos = np.searchsorted(keys_u, keys)
-        data = np.zeros(U.nnz)
-        data[pos] = A.data
-        return sp.csr_matrix((data, U.indices.copy(), U.indptr.copy()),
-                             shape=U.shape)
-
-    return inject(P), inject(Q)
-
-
-class _SteppingSolver:
-    """Crank-Nicolson step solver with a lagged LU factorization.
-
-    The system matrix changes smoothly with dt on a power-law grid, so the
-    factorization of a nearby dt works as a preconditioner: each step does
-    an LU solve plus a few iterative-refinement sweeps, and refactorizes
-    only when refinement stops converging fast. Every solution is verified
-    against the requested residual.
-    """
-
-    def __init__(self, P, Q, tol):
-        self.P = P
-        self.Q = Q
-        self.tol = tol
-        self._lu = None
-        self.factorizations = 0
-
-    def _matrix(self, dt, sign):
-        data = self.P.data + sign * 0.5 * dt * self.Q.data
-        return sp.csr_matrix(
-            (data, self.P.indices, self.P.indptr), shape=self.P.shape
-        )
-
-    def _refactor(self, A):
-        import scipy.sparse.linalg as spla
-
-        self._lu = spla.splu(A.tocsc())
-        self.factorizations += 1
-
-    def step(self, dt, rho):
-        A_minus = self._matrix(dt, -1.0)
-        A_plus = self._matrix(dt, +1.0)
-        rhs = A_minus @ rho
-        rnorm = np.linalg.norm(rhs)
-        target = self.tol * (rnorm if rnorm > 0 else 1.0)
-
-        if self._lu is None:
-            self._refactor(A_plus)
-        x = self._lu.solve(rhs)
-        for sweep in range(5):
-            r = rhs - A_plus @ x
-            if np.linalg.norm(r) <= target:
-                return x
-            x += self._lu.solve(r)
-        # refinement stalled: the lagged factorization drifted too far
-        self._refactor(A_plus)
-        x = self._lu.solve(rhs)
-        r = rhs - A_plus @ x
-        if np.linalg.norm(r) <= target:
-            return x
-        x += self._lu.solve(r)
-        r = rhs - A_plus @ x
-        res = np.linalg.norm(r) / (rnorm if rnorm > 0 else 1.0)
-        if res > self.tol:
-            raise SolveFailure(
-                f"time step solve reached relative residual {res:.3e}",
-                residual=float(res),
-            )
-        return x
-
-
 def solve_fp(space, rho0, grad_V, grid, supg=True, rho_inf=None,
              store_every=1, snapshot_times=None, renormalize=False,
              tol=1e-10):
@@ -199,10 +106,13 @@ def solve_fp(space, rho0, grad_V, grid, supg=True, rho_inf=None,
 
     Each step solves
         (M + S_t + dt/2 (L + S_s)) rho_next = (M + S_t - dt/2 (L + S_s)) rho
-    reusing the LU factorization across steps (a changed dt is absorbed by
-    iterative refinement until it drifts too far, then the factorization is
-    rebuilt; the per-step relative residual is always verified against tol).
-    Snapshots are kept every `store_every` steps (0 keeps only the
+    where all four forms share the space's sparse pattern, so both step
+    matrices are built by adding `data` arrays. One `fem.LinearSolver` keeps
+    a lagged LU factorization: a step first tries 5 refinement sweeps on
+    it, which absorb a changed dt; if they stall, the step matrix is
+    refactored and gets 1 sweep, and if that fails too, SolveFailure is
+    raised with the step number. Every accepted step has relative residual
+    <= tol. Snapshots are kept every `store_every` steps (0 keeps only the
     endpoints) plus at the grid points nearest `snapshot_times`.
 
     rho_inf, when given, is a pointwise density used for the per-step L1/KL
@@ -220,15 +130,17 @@ def solve_fp(space, rho0, grad_V, grid, supg=True, rho_inf=None,
             raise SolveFailure("initial density has nonpositive mass")
         rho /= mass0_raw
 
-    M = fem.assemble_mass(space).matrix
-    L = fem.assemble_fp_form(space, drift).matrix
+    M = fem.assemble_mass(space)
+    L = fem.assemble_fp_form(space, drift)
+    P, Q = M.data, L.data
     if supg:
-        st, ss = fem.assemble_supg(space, drift, dt=grid.dt(0))
-        P = M + st.matrix
-        Q = L + ss.matrix
-    else:
-        P, Q = M, L.copy()
-    P, Q = _aligned_pair(sp.csr_matrix(P), sp.csr_matrix(Q))
+        st, ss = fem.assemble_supg(space, drift)
+        P = P + st.data
+        Q = Q + ss.data
+
+    def step_matrix(dt, sign):
+        data = P + sign * 0.5 * dt * Q
+        return sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
 
     recorder = _MetricRecorder(space, rho_inf) if rho_inf is not None else None
 
@@ -267,10 +179,18 @@ def solve_fp(space, rho0, grad_V, grid, supg=True, rho_inf=None,
 
     record(0, rho)
 
-    stepper = _SteppingSolver(P, Q, tol)
+    solver = None
     for k in range(K):
+        A_plus = step_matrix(grid.dt(k), +1.0)
+        rhs = step_matrix(grid.dt(k), -1.0) @ rho
         try:
-            rho = stepper.step(grid.dt(k), rho)
+            if solver is None:
+                solver = fem.LinearSolver(A_plus, tol=tol)
+            rho, reached = solver.refine(A_plus, rhs, sweeps=5)
+            if not reached:
+                # refinement stalled: the lagged factorization drifted too far
+                solver.factor(A_plus)
+                rho = solver.solve(A_plus, rhs, sweeps=1)
         except SolveFailure as exc:
             exc.step = k
             raise

@@ -63,6 +63,7 @@ class TrajectoryLog:
         self.min_hole_distance = min_hole_distance  # (N,) or None
         self.exit_counts = exit_counts  # (N,)
         self.capped_steps = 0  # displacement clamps (gradient-flow method)
+        self.midpoint_exits = 0  # RK2 midpoints outside the domain
 
     @property
     def n_particles(self):
@@ -248,7 +249,8 @@ def advect_rk2(pset, traj, grad_V, grid=None, substeps=1, k_start=0,
 
     Each solver interval is split into `substeps` equal Heun substeps; the
     density at intermediate times is the linear blend of the bracketing
-    snapshots.
+    snapshots. A particle whose midpoint leaves the domain takes an Euler
+    step instead; the returned log counts these in `midpoint_exits`.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -259,6 +261,7 @@ def advect_rk2(pset, traj, grad_V, grid=None, substeps=1, k_start=0,
     space = traj.space
     adv = _Advector(pset, space, grid, boundary, project_tol, track_distances)
     adv.commit(k_start)
+    midpoint_exits = 0
     for k in range(k_start, k_end):
         c0 = traj.field(k).coeffs
         c1 = traj.field(k + 1).coeffs
@@ -276,13 +279,17 @@ def advect_rk2(pset, traj, grad_V, grid=None, substeps=1, k_start=0,
             x_mid = adv.x[idx] + h * u1
             tri2, bary2 = meshmod.locate_points(space.mesh, x_mid, adv.hints[idx])
             ok = tri2 >= 0
+            # a midpoint outside the domain keeps u2 = u1: an Euler step
+            midpoint_exits += int((~ok).sum())
             u2 = np.array(u1)
             if np.any(ok):
                 u2[ok] = _velocities(rho_b, drift, tri2[ok], bary2[ok], floor,
                                      formula)
             adv.step_to(adv.x[idx] + 0.5 * h * (u1 + u2), idx)
         adv.commit(k + 1)
-    return adv.log()
+    log = adv.log()
+    log.midpoint_exits = midpoint_exits
+    return log
 
 
 GF_WEIGHT_FLOOR = 1e-10
@@ -309,13 +316,13 @@ def gf_potential(rho_k, rho_k1, eps_gf, weight_floor=GF_WEIGHT_FLOOR):
     local = space.areas[:, None, None] * np.einsum(
         "eq,eqid,eqjd->eij", wq, g, g
     )
-    M = fem.assemble_mass(space).matrix
-    A = fem._assemble(space, local) + eps_gf * M
+    M = fem.assemble_mass(space)
+    A = fem._assemble(space, local)
+    A.data += eps_gf * M.data
     rhs = M @ (rho_k1.coeffs - rho_k.coeffs)
     # the eps block sits ~1e-10 below the bulk stiffness scale: equilibrate
     # so the factorization stays accurate in double precision
-    psi = fem.solve_linear(fem.SparseOperator(A), rhs,
-                           opts={"tol": 1e-8, "equilibrate": True})
+    psi = fem.solve_linear(A, rhs, tol=1e-8, equilibrate=True)
     return fem.FeField(space, psi)
 
 
@@ -406,6 +413,7 @@ def write_summary_json(log, path, extra=None):
         "total_exits": int(log.exit_counts.sum()),
         "alive_final": int(log.alive[-1].sum()),
         "capped_steps": int(log.capped_steps),
+        "midpoint_exits": int(log.midpoint_exits),
         "min_boundary_distance": clean(log.min_boundary_distance),
     }
     if log.min_hole_distance is not None:

@@ -64,7 +64,7 @@ class TestSmoother:
         assert gradient_jump_seminorm(wd) <= gradient_jump_seminorm(w)
 
     def test_bilinear_form_symmetric(self, hole_space, params):
-        A = assemble_smoother(hole_space, params).matrix
+        A = assemble_smoother(hole_space, params)
         assert abs(A - A.T).max() <= 1e-12
 
     def test_degree_one_rejected(self, params):

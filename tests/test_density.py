@@ -50,6 +50,19 @@ class TestEmFit:
         with pytest.raises(CollapseFailure):
             em_fit(pts, 2, cov_reg=0.0, seed=0)
 
+    def test_likelihood_decrease_is_not_converged(self):
+        # the scenario-2 reference arc: for k >= 2 the first M-step lowers
+        # the likelihood, and EM stops there on the recorded peak
+        from fpreg.cli import arc_cloud_from_spec
+        ref = arc_cloud_from_spec(dict(n=141, theta0=np.pi / 2, dtheta=np.pi,
+                                       noise=0.1, seed=7))
+        _, one = em_fit(ref, 1, cov_reg=1e-2, seed=3)
+        assert one.converged
+        g, two = em_fit(ref, 2, cov_reg=1e-2, seed=3)
+        assert not two.converged
+        assert two.iterations == 1
+        assert g.k == 2
+
     def test_weights_sum_checked(self):
         with pytest.raises(InvalidFit):
             Gmm([0.5, 0.6], [[0, 0], [1, 1]], [np.eye(2)] * 2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from fpreg import analytic, density, fem
 from fpreg.errors import SolveFailure
@@ -122,6 +123,57 @@ class TestSolve:
         assert err.value.step is not None
 
 
+@pytest.fixture
+def count_splu(monkeypatch):
+    """Counts the LU factorizations made through scipy's splu."""
+    calls = []
+    splu = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
+
+
+class TestLaggedFactor:
+    def test_uniform_grid_factors_once(self, gaussian_setup, count_splu):
+        space, rho0, grad_V, _, _ = gaussian_setup
+        solve_fp(space, rho0, grad_V, make_time_grid(1.0, 20, 1.0),
+                 store_every=0)
+        assert len(count_splu) == 1
+
+    def test_power_law_grid_reuses_factor(self, gaussian_setup, count_splu):
+        space, rho0, grad_V, _, _ = gaussian_setup
+        grid = make_time_grid(1.0, 40, 1.5)
+        tol = 1e-10
+        traj = solve_fp(space, rho0, grad_V, grid, store_every=1, tol=tol)
+        assert len(count_splu) < grid.K
+        # every step meets its residual target on the CN step matrices
+        st, ss = fem.assemble_supg(space, grad_V)
+        P = fem.assemble_mass(space) + st
+        Q = fem.assemble_fp_form(space, grad_V) + ss
+        for k in range(grid.K):
+            dt = grid.dt(k)
+            rhs = (P - 0.5 * dt * Q) @ traj.snapshots[k]
+            r = rhs - (P + 0.5 * dt * Q) @ traj.snapshots[k + 1]
+            assert np.linalg.norm(r) <= tol * np.linalg.norm(rhs)
+
+    def test_failed_factorization_is_a_solve_failure(self, gaussian_setup,
+                                                     monkeypatch):
+        space, rho0, grad_V, _, _ = gaussian_setup
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spla, "splu", singular)
+        with pytest.raises(SolveFailure) as err:
+            solve_fp(space, rho0, grad_V, make_time_grid(0.1, 5, 1.0),
+                     store_every=0)
+        assert err.value.step == 0
+
+
 class TestStationary:
     @pytest.fixture(scope="class")
     def stationary_run(self):
@@ -139,7 +191,7 @@ class TestStationary:
 
     def test_near_stationarity(self, stationary_run):
         space, rho0, traj = stationary_run
-        M = fem.assemble_mass(space).matrix
+        M = fem.assemble_mass(space)
         ref = np.sqrt(rho0.coeffs @ (M @ rho0.coeffs))
         worst = 0.0
         for k in traj.ks:

@@ -223,6 +223,29 @@ class TestRk2:
                       <= 3 * np.sqrt(var / n) + 5e-3)
 
 
+    def test_midpoint_exits_counted(self, big_square, tmp_path):
+        # grad V = (-1, 0) under the literal formula moves every particle by
+        # (-0.2, 0) per step: only the particle at the wall has its Heun
+        # midpoint outside, and it takes the Euler step to the same place
+        space = big_square
+        rho = fem.interpolate(space, lambda p: np.ones(len(p)))
+        V = fem.interpolate(space, lambda p: -p[:, 0])
+        grad_V = fem.VectorField.from_gradient(V)
+        grid = make_time_grid(0.2, 1, 1.0)
+        traj = solve_fp(space, rho, grad_V, grid, supg=False, store_every=1)
+        traj.snapshots[:] = rho.coeffs
+        pts = np.array([[0.0, 0.0], [-5.9, 1.0]])
+        log = advect_rk2(ParticleSet(pts.copy()), traj, grad_V, substeps=1,
+                         formula="literal_eq16", boundary="kill",
+                         track_distances=False)
+        assert log.midpoint_exits == 1
+        assert np.allclose(log.positions[-1], pts - [0.2, 0.0], atol=1e-12)
+        write_summary_json(log, tmp_path / "summary.json")
+        import json
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert doc["midpoint_exits"] == 1
+
+
 class TestGf:
     def test_zero_rhs_gives_zero_potential(self, big_square):
         space = big_square
