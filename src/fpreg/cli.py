@@ -259,6 +259,11 @@ def cmd_solve(cfg, args):
             "supg": bool(cfg.doc.get("supg", True)),
             "mass_deficit": traj.mass_deficit,
             "stored_steps": [int(k) for k in traj.ks],
+            "solver": {
+                "factorizations": int(traj.diagnostics["refactored"].sum()),
+                "lu_solves": int(traj.diagnostics["lu_solves"].sum()),
+                "max_residual": float(np.nanmax(traj.diagnostics["residual"])),
+            },
         }, f, sort_keys=True, indent=2)
     print(json.dumps({
         "out": out,

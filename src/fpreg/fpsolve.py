@@ -108,12 +108,20 @@ def solve_fp(space, rho0, grad_V, grid, supg=True, rho_inf=None,
         (M + S_t + dt/2 (L + S_s)) rho_next = (M + S_t - dt/2 (L + S_s)) rho
     where all four forms share the space's sparse pattern, so both step
     matrices are built by adding `data` arrays. One `fem.LinearSolver` keeps
-    a lagged LU factorization: a step first tries 5 refinement sweeps on
-    it, which absorb a changed dt; if they stall, the step matrix is
-    refactored and gets 1 sweep, and if that fails too, SolveFailure is
-    raised with the step number. Every accepted step has relative residual
-    <= tol. Snapshots are kept every `store_every` steps (0 keeps only the
-    endpoints) plus at the grid points nearest `snapshot_times`.
+    a lagged LU factorization (minimum-degree ordering on A + A^T, threshold
+    pivoting): a step first tries 5 refinement sweeps on it, which absorb a
+    changed dt, and the x of the 5th sweep is accepted if it meets tol. If
+    it misses, the step matrix is refactored and gets 1 sweep, and if that
+    fails too, SolveFailure is raised with the step number. Every accepted
+    step has a verified relative residual <= tol. Snapshots are kept every
+    `store_every` steps (0 keeps only the endpoints) plus at the grid
+    points nearest `snapshot_times`.
+
+    Besides the metrics, `diagnostics` records per step, at the index of
+    the state it produced (index 0 holds 0, 0, NaN): `refactored`, the
+    factorizations made in the step (the first step's includes the initial
+    one), `lu_solves`, and `residual`, the relative residual of the
+    accepted solution.
 
     rho_inf, when given, is a pointwise density used for the per-step L1/KL
     diagnostics. With renormalize=True the initial coefficients are scaled
@@ -154,6 +162,9 @@ def solve_fp(space, rho0, grad_V, grid, supg=True, rho_inf=None,
         "kl": np.full(K + 1, np.nan),
         "min_nodal": np.full(K + 1, np.nan),
         "kl_clipped": np.zeros(K + 1, dtype=np.int64),
+        "refactored": np.zeros(K + 1, dtype=np.int64),
+        "lu_solves": np.zeros(K + 1, dtype=np.int64),
+        "residual": np.full(K + 1, np.nan),
     }
 
     store_set = set()
@@ -180,6 +191,7 @@ def solve_fp(space, rho0, grad_V, grid, supg=True, rho_inf=None,
     record(0, rho)
 
     solver = None
+    factorizations = lu_solves = 0
     for k in range(K):
         A_plus = step_matrix(grid.dt(k), +1.0)
         rhs = step_matrix(grid.dt(k), -1.0) @ rho
@@ -196,6 +208,10 @@ def solve_fp(space, rho0, grad_V, grid, supg=True, rho_inf=None,
             raise
         if not np.all(np.isfinite(rho)):
             raise SolveFailure(f"non-finite density at step {k + 1}", step=k + 1)
+        diag["refactored"][k + 1] = solver.factorizations - factorizations
+        diag["lu_solves"][k + 1] = solver.lu_solves - lu_solves
+        diag["residual"][k + 1] = solver.residual
+        factorizations, lu_solves = solver.factorizations, solver.lu_solves
         record(k + 1, rho)
 
     return DensityTrajectory(space, grid, ks, snapshots, diag, mass_deficit)

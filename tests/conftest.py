@@ -7,6 +7,7 @@ shared between the acceptance criteria.
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from fpreg import boundary, density, fem, fpsolve, particles
 from fpreg.cli import arc_cloud_from_spec
@@ -16,6 +17,20 @@ T1 = dict(T=5.0, K=400, h=0.2)
 T2 = dict(T=15.0, K=1000, h=0.125)
 ARC = dict(n=141, theta0=np.pi / 2, theta_inf=3 * np.pi / 2, dtheta=np.pi,
            noise=0.1, seed=7, target_seed=1007, fit_seed=3)
+
+
+@pytest.fixture
+def count_splu(monkeypatch):
+    """Counts the LU factorizations made through scipy's splu."""
+    calls = []
+    splu = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

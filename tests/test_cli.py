@@ -185,6 +185,19 @@ class TestPipeline:
         for f, data in blob1.items():
             assert open(os.path.join(run_dir, f), "rb").read() == data
 
+    def test_run_json_solver_totals(self, tmp_path, tiny_config, capsys,
+                                    count_splu):
+        doc = json.load(open(tiny_config))
+        doc["boundary"]["eps"] = 0.0  # no smoother: every LU is the CN solve
+        cfg = write_config(tmp_path / "no_smoother.json", doc)
+        assert run_cli(["solve", "--config", cfg]) == 0
+        capsys.readouterr()
+        run = json.load(open(tmp_path / "run" / "run.json"))
+        solver = run["solver"]
+        assert solver["factorizations"] == len(count_splu) >= 1
+        assert solver["lu_solves"] >= doc["time"]["K"]
+        assert 0 <= solver["max_residual"] <= 1e-10
+
     def test_full_pipeline_deterministic(self, tmp_path, capsys):
         # two fresh end-to-end runs give byte-identical report.json
         blobs = []

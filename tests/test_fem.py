@@ -214,6 +214,38 @@ class TestSolve:
         res = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
         assert res <= 1e-10
 
+    @staticmethod
+    def lagged_pair():
+        """A matrix A0 to factor and A = 1.02 A0 to solve with. With the
+        factor of A0 each sweep scales the residual by 0.02: relative
+        residuals 0.02, 0.02^2, ..., 0.02^6 after 5 sweeps, so a tol of
+        1e-10 is met on exactly the 5th sweep."""
+        import scipy.sparse as sp_
+        A0 = sp_.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(50, 50),
+                       format="csr")
+        return A0, 1.02 * A0
+
+    def test_last_sweep_counts(self, count_splu):
+        A0, A = self.lagged_pair()
+        solver = fem.LinearSolver(A0, tol=1e-10)
+        b = np.ones(50)
+        x, reached = solver.refine(A, b, sweeps=4)
+        assert not reached
+        x, reached = solver.refine(A, b, sweeps=5)
+        assert reached
+        assert solver.residual <= 1e-10
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+        assert solver.factorizations == len(count_splu) == 1
+        assert solver.lu_solves == 5 + 6
+
+    def test_failed_solve_reports_its_residual(self):
+        A0, A = self.lagged_pair()
+        solver = fem.LinearSolver(A0, tol=1e-10)
+        with pytest.raises(SolveFailure) as err:
+            solver.solve(A, np.ones(50), sweeps=4)
+        assert err.value.residual == solver.residual
+        assert 1e-10 < err.value.residual < 1e-8
+
     def test_singular_matrix_fails(self):
         import scipy.sparse as sp_
         A = sp_.csr_matrix((3, 3))

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fpreg import analytic, density, fem
+from fpreg import analytic, boundary, density, fem
 from fpreg.errors import SolveFailure
 from fpreg.fpsolve import (
-    DensityTrajectory, diagnostics_report, make_time_grid, solve_fp,
-    write_diagnostics_csv,
+    DensityTrajectory, TimeGrid, diagnostics_report, make_time_grid,
+    solve_fp, write_diagnostics_csv,
 )
 from fpreg.mesh import generate_rect_with_hole
 
@@ -123,20 +124,6 @@ class TestSolve:
         assert err.value.step is not None
 
 
-@pytest.fixture
-def count_splu(monkeypatch):
-    """Counts the LU factorizations made through scipy's splu."""
-    calls = []
-    splu = spla.splu
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting)
-    return calls
-
-
 class TestLaggedFactor:
     def test_uniform_grid_factors_once(self, gaussian_setup, count_splu):
         space, rho0, grad_V, _, _ = gaussian_setup
@@ -160,6 +147,38 @@ class TestLaggedFactor:
             r = rhs - (P + 0.5 * dt * Q) @ traj.snapshots[k + 1]
             assert np.linalg.norm(r) <= tol * np.linalg.norm(rhs)
 
+    def test_step_record_matches_splu_calls(self, gaussian_setup, count_splu):
+        space, rho0, grad_V, _, _ = gaussian_setup
+        tol = 1e-10
+        traj = solve_fp(space, rho0, grad_V, make_time_grid(1.0, 40, 1.5),
+                        store_every=0, tol=tol)
+        d = traj.diagnostics
+        assert d["refactored"].sum() == len(count_splu)
+        assert d["refactored"][0] == d["lu_solves"][0] == 0
+        assert np.isnan(d["residual"][0])
+        assert np.all(d["lu_solves"][1:] >= 1)
+        assert np.nanmax(d["residual"]) <= tol
+
+    def test_last_sweep_is_accepted(self, gaussian_setup, count_splu):
+        space, rho0, grad_V, _, _ = gaussian_setup
+        grid = make_time_grid(1.0, 40, 1.5)
+        d = solve_fp(space, rho0, grad_V, grid, store_every=0).diagnostics
+        # one LU solve plus 5 sweeps on an earlier step's factor
+        last_sweep = np.flatnonzero((d["lu_solves"] == 6)
+                                    & (d["refactored"] == 0))
+        assert len(last_sweep) > 0
+        j = int(last_sweep[0])
+
+        def factorizations(K):
+            before = len(count_splu)
+            sub = TimeGrid(T=grid.times[K], K=K, power=grid.power,
+                           times=grid.times[:K + 1])
+            solve_fp(space, rho0, grad_V, sub, store_every=0)
+            return len(count_splu) - before
+
+        # the step to state j adds no factorization to the steps before it
+        assert factorizations(j) == factorizations(j - 1)
+
     def test_failed_factorization_is_a_solve_failure(self, gaussian_setup,
                                                      monkeypatch):
         space, rho0, grad_V, _, _ = gaussian_setup
@@ -172,6 +191,35 @@ class TestLaggedFactor:
             solve_fp(space, rho0, grad_V, make_time_grid(0.1, 5, 1.0),
                      store_every=0)
         assert err.value.step == 0
+
+
+class TestOrdering:
+    """LinearSolver's ordering against SuperLU's default (COLAMD)."""
+
+    @staticmethod
+    def fills(A):
+        ours = fem.LinearSolver(A)._lu
+        default = spla.splu(sp.csc_matrix(A))
+        return ours.L.nnz + ours.U.nnz, default.L.nnz + default.U.nnz
+
+    def test_cn_step_matrix_fill_is_lower(self, gaussian_setup):
+        space, _, grad_V, _, _ = gaussian_setup
+        st, ss = fem.assemble_supg(space, grad_V)
+        A = (fem.assemble_mass(space) + st
+             + 0.005 * (fem.assemble_fp_form(space, grad_V) + ss))
+        ours, default = self.fills(A)
+        assert ours < default
+
+    def test_smoother_fill_is_not_higher(self, gaussian_setup):
+        # full partial pivoting on the minimum-degree ordering more than
+        # doubles this fill; the pivoting threshold keeps it below COLAMD's
+        space = gaussian_setup[0]
+        A = boundary.assemble_smoother(
+            space, boundary.SmootherParams(delta=1e-2, tol=1e-2))
+        keep = np.ones(space.n_dofs, dtype=bool)
+        keep[space.boundary_dofs()] = False
+        ours, default = self.fills(A[keep][:, keep])
+        assert ours <= default
 
 
 class TestStationary:
