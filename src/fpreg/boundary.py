@@ -9,7 +9,9 @@ with beta_F = sigma_beta * kappa^2 / |F| and jumps/averages taken across
 interior facets. Note the facet terms are the penalty plus a least-squares
 average coupling; the consistency cross terms {lap w}[grad v] of the
 standard symmetric C0-IP discretization are deliberately absent here.
-Boundary values are imposed strongly.
+Boundary values are imposed strongly. The facet terms of every interior
+facet come from one batched kernel over the mesh edge table (`_facet_jumps`),
+which also gives `gradient_jump_seminorm` its jumps.
 """
 
 from __future__ import annotations
@@ -43,37 +45,49 @@ def raw_distance_field(space, tol):
     return fem.FeField(space, np.maximum(d, tol))
 
 
-def _facet_quadrature(space, facet, n_q=3):
-    """Per-side shape data on one interior facet.
+def _facet_jumps(space, n_q=3):
+    """Jumps and averages of every basis function on every interior facet.
 
-    Returns (ds_weights, dofs_union, jump_rows, avg_lap) where jump_rows has
-    shape (Q, n_union) with the normal gradient jump of each union basis
-    function at the edge quadrature points, and avg_lap the (constant)
-    facet average of each basis Laplacian.
+    Each interior facet F pairs its two owners from the mesh edge table: the
+    side listed first is "plus", and the unit normal points out of it. The
+    2*ndl basis functions of a facet are those of plus then those of minus,
+    so a dof of both sides appears twice; sums over the two copies give the
+    jump and average of that dof's basis function. Returns
+      ds    : (F, Q) Gauss weights on the facet times its length
+      dofs  : (F, 2*ndl) the concatenated dofs of plus and minus
+      jump  : (F, Q, 2*ndl) [grad phi . n] at the Gauss points
+      avg   : (F, 2*ndl) {lap phi}, constant on the facet
     """
+    mesh = space.mesh
+    owners = mesh.edge_sides[mesh.edge_sides[:, 1] >= 0]  # (F, 2)
+    tri, side = owners // 3, owners % 3
+    nf = len(tri)
+    # plus walks its side from local vertex side+1 to side+2; minus walks
+    # the same edge the other way, from its local vertex side+2 to side+1
+    start = (side + [[1, 2]]) % 3
+    end = (side + [[2, 1]]) % 3
+    pa, pb = mesh.vertices[mesh.triangles[tri[:, 0], [start[:, 0], end[:, 0]]]]
+    length = np.linalg.norm(pb - pa, axis=1)
+    # the right normal of plus's walk points out of plus
+    normal = np.column_stack([pb[:, 1] - pa[:, 1], pa[:, 0] - pb[:, 0]])
+    normal /= length[:, None]
+
     s, wq = fem.edge_quadrature(n_q)
-    a, b = facet["verts"]
-    e_plus, e_minus = facet["plus"], facet["minus"]
-    normal = facet["normal"]
-    length = facet["length"]
-
-    dofs_plus = space.conn[e_plus]
-    dofs_minus = space.conn[e_minus]
-    union = np.unique(np.concatenate([dofs_plus, dofs_minus]))
-    col = {d: i for i, d in enumerate(union)}
-
-    lap = space.shape_laplacians()
-    jump = np.zeros((len(s), len(union)))
-    avg_lap = np.zeros(len(union))
-    for elem, dofs, sign in ((e_plus, dofs_plus, 1.0), (e_minus, dofs_minus, -1.0)):
-        lam = space.facet_lambda(elem, a, b, s)
-        dn = fem.shape_grads_bary(space.degree, lam)  # (Q, ndl, 3)
-        grads = np.einsum("qni,id->qnd", dn, space.grad_lambda[elem])
-        gn = grads @ normal  # (Q, ndl)
-        for loc, d in enumerate(dofs):
-            jump[:, col[d]] += sign * gn[:, loc]
-            avg_lap[col[d]] += 0.5 * lap[elem, loc]
-    return length * wq, union, jump, avg_lap
+    nq, ndl = len(s), space.ndof_local
+    lam = np.zeros((nf, 2, nq, 3))
+    f, k = np.arange(nf)[:, None], np.arange(2)[None, :]
+    lam[f, k, :, start] = 1.0 - s
+    lam[f, k, :, end] = s
+    dn = fem.shape_grads_bary(space.degree, lam.reshape(-1, 3))
+    dn = dn.reshape(nf, 2, nq, ndl, 3)
+    # normal derivative of each barycentric coordinate on either side
+    dlam = np.einsum("fkid,fd->fki", space.grad_lambda[tri], normal)
+    gn = np.einsum("fkqni,fki->fkqn", dn, dlam)
+    gn[:, 1] *= -1.0
+    jump = gn.transpose(0, 2, 1, 3).reshape(nf, nq, 2 * ndl)
+    avg = 0.5 * space.shape_laplacians()[tri].reshape(nf, 2 * ndl)
+    dofs = space.conn[tri].reshape(nf, 2 * ndl)
+    return length[:, None] * wq, dofs, jump, avg
 
 
 def assemble_smoother(space, params):
@@ -90,22 +104,19 @@ def assemble_smoother(space, params):
     A = fem._assemble(space, local)
     A.data += fem.assemble_mass(space).data / params.delta
 
-    rows, cols, vals = [], [], []
-    for facet in space.interior_facets():
-        beta = params.sigma_beta * kappa**2 / facet["length"]
-        ds, union, jump, avg_lap = _facet_quadrature(space, facet)
-        blk = beta * np.einsum("q,qi,qj->ij", ds, jump, jump)
-        blk += (ds.sum() / beta) * np.outer(avg_lap, avg_lap)
-        nloc = len(union)
-        rows.append(np.repeat(union, nloc))
-        cols.append(np.tile(union, nloc))
-        vals.append(blk.ravel())
-    if rows:
-        F = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=A.shape,
-        )
-        A = A + F.tocsr()
+    # facet blocks: beta_F [grad w][grad v] + (1/beta_F) {lap w}{lap v}
+    ds, dofs, jump, avg = _facet_jumps(space)
+    length = ds.sum(axis=1)
+    beta = params.sigma_beta * kappa**2 / length
+    blk = np.einsum("f,fq,fqi,fqj->fij", beta, ds, jump, jump)
+    blk += np.einsum("f,fi,fj->fij", length / beta, avg, avg)
+    n = dofs.shape[1]
+    F = sp.coo_matrix(
+        (blk.ravel(), (np.repeat(dofs, n, axis=1).ravel(),
+                       np.tile(dofs, (1, n)).ravel())),
+        shape=A.shape,
+    )
+    A = A + F.tocsr()  # the duplicates of a dof of both sides sum
     A = 0.5 * (A + A.T)  # the form is symmetric; remove scatter noise
     return A.tocsr()
 
@@ -136,21 +147,9 @@ def smooth_distance(space, w, params):
 
 def gradient_jump_seminorm(field):
     """Sum over interior facets of the squared L2 norm of [grad field]."""
-    space = field.space
-    s, wq = fem.edge_quadrature(3)
-    total = 0.0
-    for facet in space.interior_facets():
-        a, b = facet["verts"]
-        normal = facet["normal"]
-        jump = np.zeros(len(s))
-        for elem, sign in ((facet["plus"], 1.0), (facet["minus"], -1.0)):
-            lam = space.facet_lambda(elem, a, b, s)
-            dn = fem.shape_grads_bary(space.degree, lam)
-            grads = np.einsum("qni,id->qnd", dn, space.grad_lambda[elem])
-            coef = field.coeffs[space.conn[elem]]
-            jump += sign * (np.einsum("n,qnd->qd", coef, grads) @ normal)
-        total += facet["length"] * float(wq @ jump**2)
-    return total
+    ds, dofs, jump, _ = _facet_jumps(field.space)
+    gn = np.einsum("fqn,fn->fq", jump, field.coeffs[dofs])
+    return float(np.sum(ds * gn**2))
 
 
 def regularized_potential(g, w_delta, eps):

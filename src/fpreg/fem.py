@@ -3,7 +3,8 @@
 Provides spaces, fields, quadrature, assembly of the mass / Fokker-Planck /
 SUPG forms, point evaluation and sparse linear solves. All bilinear forms are
 assembled with symmetric Gauss rules on the reference triangle; physical
-gradients come from the constant per-element barycentric gradients.
+gradients come from the constant per-element barycentric gradients. The P2
+edge dofs and the boundary dofs are read from the mesh edge table.
 
 Every form of a space is a `csr_matrix` on the space's one element pattern
 (`FeSpace.pattern`), so forms of the same space add by adding their `data`.
@@ -155,12 +156,10 @@ class FeSpace:
             self.conn = tris.copy()
             self.dof_coords = mesh.vertices.copy()
         else:
-            # local edge order matches the P2 midpoint shape functions
-            local_edges = tris[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-            sorted_edges = np.sort(local_edges, axis=1)
-            self.edges, inverse = np.unique(sorted_edges, axis=0, return_inverse=True)
-            edge_dofs = nv + inverse.reshape(-1, 3)
-            self.conn = np.hstack([tris, edge_dofs])
+            # midpoint dofs 3, 4, 5 sit on the sides (0, 1), (1, 2), (2, 0),
+            # which the mesh numbers as the sides opposite vertices 2, 0, 1
+            self.edges = mesh.edges
+            self.conn = np.hstack([tris, nv + mesh.side_edges[:, [2, 0, 1]]])
             midpoints = 0.5 * (
                 mesh.vertices[self.edges[:, 0]] + mesh.vertices[self.edges[:, 1]]
             )
@@ -246,68 +245,10 @@ class FeSpace:
             if self.degree == 1:
                 dofs = bverts
             else:
-                pairs = {tuple(sorted(e)) for e in self.mesh.boundary_edges}
-                emid = [
-                    self.mesh.num_vertices + i
-                    for i, e in enumerate(self.edges)
-                    if (e[0], e[1]) in pairs
-                ]
-                dofs = np.concatenate([bverts, np.array(emid, dtype=np.int64)])
+                bedges = np.where(self.mesh.edge_sides[:, 1] < 0)[0]
+                dofs = np.concatenate([bverts, self.mesh.num_vertices + bedges])
             self._cache[key] = np.sort(dofs)
         return self._cache[key]
-
-    def interior_facets(self):
-        """Interior facet table for jump/average terms.
-
-        Returns a list of dicts with keys: verts (a, b), plus, minus (element
-        ids), local_plus, local_minus (local edge index within each element),
-        length, normal (unit, outward from plus).
-        """
-        key = "ifacets"
-        if key not in self._cache:
-            tris = self.mesh.triangles
-            local = [(1, 2), (2, 0), (0, 1)]
-            seen = {}
-            facets = []
-            for t in range(len(tris)):
-                for li, (a, b) in enumerate(local):
-                    va, vb = tris[t][a], tris[t][b]
-                    k = (min(va, vb), max(va, vb))
-                    if k in seen:
-                        s, lj = seen.pop(k)
-                        pa, pb = self.mesh.vertices[[va, vb]]
-                        tang = pb - pa
-                        length = float(np.linalg.norm(tang))
-                        tang /= length
-                        # plus = first owner; its outward normal is the right
-                        # normal of its own directed traversal of the edge
-                        sa, sb = tris[s][local[lj][0]], tris[s][local[lj][1]]
-                        psa, psb = self.mesh.vertices[[sa, sb]]
-                        tp = psb - psa
-                        tp /= np.linalg.norm(tp)
-                        normal = np.array([tp[1], -tp[0]])
-                        facets.append(
-                            dict(verts=(sa, sb), plus=s, minus=t,
-                                 local_plus=lj, local_minus=li,
-                                 length=length, normal=normal)
-                        )
-                    else:
-                        seen[k] = (t, li)
-            self._cache[key] = facets
-        return self._cache[key]
-
-    def facet_lambda(self, element, va, vb, s):
-        """Barycentric coords within `element` of points along edge va->vb.
-
-        s is a (Q,) array of edge parameters in [0, 1].
-        """
-        tri = self.mesh.triangles[element]
-        ia = int(np.where(tri == va)[0][0])
-        ib = int(np.where(tri == vb)[0][0])
-        lam = np.zeros((len(s), 3))
-        lam[:, ia] = 1.0 - s
-        lam[:, ib] = s
-        return lam
 
 
 def build_space(mesh, degree):

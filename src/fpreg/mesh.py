@@ -1,5 +1,11 @@
 """Conforming triangular meshes of rectangles with an optional circular hole.
 
+Every mesh builds one edge table when it is constructed: the sorted unique
+vertex pairs, the edge of each triangle side and the one or two sides that
+own each edge. The neighbour table, the boundary facets and their tags are
+read from it, and so are the P2 edge dofs and the interior facets of
+`fem` and `boundary`; how sides pair into edges is decided only here.
+
 The mesh generator triangulates a structured grid, carves out the triangles
 that intersect the hole disk, snaps the rim vertices onto the circle and
 relaxes the neighbouring interior vertices with one guarded Laplacian pass.
@@ -26,6 +32,8 @@ HOLE = "hole"
 
 # barycentric slack used to accept a point as inside a triangle
 _BARY_TOL = 1e-12
+# local side i joins the two vertices other than i
+_SIDES = [[1, 2], [2, 0], [0, 1]]
 
 
 @dataclass
@@ -53,6 +61,7 @@ class TriangleMesh:
     boundary_tags   : (nb,) array of strings in {"outer", "hole"}
     neighbors       : (nt, 3) int array, entry i is the triangle across the edge
                       opposite local vertex i, or -1 on the boundary
+    edges, side_edges, edge_sides : the edge table (see `_edge_table`)
     """
 
     def __init__(self, vertices, triangles, edge_tags=None, validate=True):
@@ -62,6 +71,9 @@ class TriangleMesh:
             raise InvalidGeometry("vertices must be an (nv, 2) array")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise InvalidGeometry("triangles must be an (nt, 3) array")
+        if triangles.size and (triangles.min() < 0
+                               or triangles.max() >= len(vertices)):
+            raise InvalidGeometry("triangle refers to a missing vertex")
 
         # enforce counter-clockwise orientation
         areas = _signed_areas(vertices, triangles)
@@ -74,8 +86,21 @@ class TriangleMesh:
         self.vertices = vertices
         self.triangles = triangles
         self.areas = areas
-        self.neighbors, self.boundary_edges = _build_adjacency(triangles)
-        self.boundary_tags = _assign_tags(self.boundary_edges, edge_tags)
+        self.edges, self.side_edges, self.edge_sides = _edge_table(triangles)
+
+        # directed sides keep the triangle on their left
+        sides = triangles[:, _SIDES].reshape(-1, 2)
+        bsides = self.edge_sides[self.edge_sides[:, 1] < 0, 0]
+        neighbors = -np.ones(3 * len(triangles), dtype=np.int64)
+        pairs = self.edge_sides[self.edge_sides[:, 1] >= 0]
+        neighbors[pairs[:, 0]] = pairs[:, 1] // 3
+        neighbors[pairs[:, 1]] = pairs[:, 0] // 3
+        self.neighbors = neighbors.reshape(-1, 3)
+        order = np.lexsort((sides[bsides, 1], sides[bsides, 0]))
+        self.boundary_edges = sides[bsides[order]]
+        self.boundary_tags = _edge_tags(self.edges, edge_tags)[
+            self.side_edges.ravel()[bsides[order]]
+        ]
         if validate:
             self.validate()
 
@@ -112,23 +137,10 @@ class TriangleMesh:
             raise InvalidGeometry(
                 f"triangle {bad} has nonpositive area {self.areas[bad]:.3e}"
             )
-        # every interior edge shared by exactly 2 triangles, boundary by 1
-        edges = np.sort(
-            self.triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1
-        )
-        _, counts = np.unique(edges, axis=0, return_counts=True)
-        if np.any(counts > 2):
-            raise InvalidGeometry("an edge is shared by more than two triangles")
-        n_boundary = int((counts == 1).sum())
-        if n_boundary != len(self.boundary_edges):
-            raise InvalidGeometry("boundary facet count mismatch")
         # boundary loops are closed: each boundary vertex has exactly 2 facets
         idx, deg = np.unique(self.boundary_edges.ravel(), return_counts=True)
         if np.any(deg != 2):
             raise InvalidGeometry("boundary is not a union of closed loops")
-        # all triangle vertex indices valid
-        if self.triangles.min() < 0 or self.triangles.max() >= self.num_vertices:
-            raise InvalidGeometry("triangle refers to a missing vertex")
 
 
 def _signed_areas(vertices, triangles):
@@ -139,39 +151,48 @@ def _signed_areas(vertices, triangles):
     )
 
 
-def _build_adjacency(triangles):
-    """Neighbor table plus directed boundary edges (domain on the left)."""
-    nt = len(triangles)
-    # local edge i is opposite local vertex i
-    local = [(1, 2), (2, 0), (0, 1)]
-    owner = {}
-    neighbors = -np.ones((nt, 3), dtype=np.int64)
-    boundary = []
-    for t in range(nt):
-        tri = triangles[t]
-        for i, (a, b) in enumerate(local):
-            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            if key in owner:
-                s, j = owner.pop(key)
-                neighbors[t, i] = s
-                neighbors[s, j] = t
-            else:
-                owner[key] = (t, i)
-    for (t, i) in owner.values():
-        a, b = local[i]
-        boundary.append((triangles[t][a], triangles[t][b]))
-    boundary = np.array(sorted(boundary), dtype=np.int64).reshape(-1, 2)
-    return neighbors, boundary
+def _edge_table(triangles):
+    """The edges of a triangulation and the triangle sides that own them.
+
+    Returns (edges, side_edges, edge_sides):
+      edges      : (ne, 2) sorted unique vertex pairs, in lexicographic order
+      side_edges : (nt, 3) edge of the side opposite each local vertex
+      edge_sides : (ne, 2) owning sides as flat indices 3*t + i, the lower
+                   first; the second is -1 on a boundary edge
+    Raises InvalidGeometry when an edge has more than two owners.
+    """
+    keys = np.sort(triangles[:, _SIDES].reshape(-1, 2), axis=1)
+    edges, side_edges, counts = np.unique(
+        keys, axis=0, return_inverse=True, return_counts=True
+    )
+    side_edges = side_edges.reshape(-1)
+    if np.any(counts > 2):
+        e = edges[int(np.argmax(counts))]
+        raise InvalidGeometry(
+            f"edge ({e[0]}, {e[1]}) is shared by more than two triangles"
+        )
+    # a stable sort by edge keeps each edge's owners in side order
+    order = np.argsort(side_edges, kind="stable")
+    first = np.cumsum(counts) - counts
+    edge_sides = np.full((len(edges), 2), -1, dtype=np.int64)
+    edge_sides[:, 0] = order[first]
+    pair = counts == 2
+    edge_sides[pair, 1] = order[first[pair] + 1]
+    return edges, side_edges.reshape(-1, 3), edge_sides
 
 
-def _assign_tags(boundary_edges, edge_tags):
-    n = len(boundary_edges)
-    if edge_tags is None:
-        return np.array([OUTER] * n, dtype=object)
-    tags = []
-    for a, b in boundary_edges:
-        tags.append(edge_tags.get((min(a, b), max(a, b)), OUTER))
-    return np.array(tags, dtype=object)
+def _edge_tags(edges, edge_tags):
+    """Tag of every edge, from {(a, b): tag} with a < b; "outer" when absent."""
+    tags = np.full(len(edges), OUTER, dtype=object)
+    if edge_tags and len(edges):
+        keys = np.array(list(edge_tags), dtype=np.int64).reshape(-1, 2)
+        n = edges.max() + 1
+        pos = np.searchsorted(edges[:, 0] * n + edges[:, 1],
+                              keys[:, 0] * n + keys[:, 1])
+        pos = np.minimum(pos, len(edges) - 1)
+        hit = (edges[pos] == keys).all(axis=1)
+        tags[pos[hit]] = np.array(list(edge_tags.values()), dtype=object)[hit]
+    return tags
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +231,17 @@ def generate_rect_with_hole(x_range, y_range, hole_center, hole_radius, target_h
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            bl, br = vid(i, j), vid(i + 1, j)
-            tl, tr = vid(i, j + 1), vid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                tris.append((bl, br, tr))
-                tris.append((bl, tr, tl))
-            else:
-                tris.append((bl, br, tl))
-                tris.append((br, tr, tl))
-    triangles = np.array(tris, dtype=np.int64)
+    # cell (i, j) has lower-left vertex i * (ny + 1) + j; the diagonal
+    # alternates in a checkerboard, two triangles per cell in (i, j) order
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    bl = (i * (ny + 1) + j).ravel()
+    br, tl = bl + ny + 1, bl + 1
+    tr = br + 1
+    even = ((i + j) % 2 == 0).ravel()[:, None]
+    triangles = np.stack([
+        np.where(even, np.column_stack([bl, br, tr]), np.column_stack([bl, br, tl])),
+        np.where(even, np.column_stack([bl, tr, tl]), np.column_stack([br, tr, tl])),
+    ], axis=1).reshape(-1, 3)
 
     if r == 0.0:
         return TriangleMesh(vertices, triangles)
@@ -245,16 +262,14 @@ def generate_rect_with_hole(x_range, y_range, hole_center, hole_radius, target_h
 
     triangles = triangles[keep]
     vertices, triangles, rim_mask = _compact(vertices, triangles, rim)
-    _smooth_near_hole(vertices, triangles, rim_mask, center, r, h)
-
-    # tag boundary edges whose endpoints both sit on the circle
-    on_circle = np.abs(np.linalg.norm(vertices - center, axis=1) - r) <= 1e-9
     mesh = TriangleMesh(vertices, triangles, validate=False)
-    tags = {}
-    for a, b in mesh.boundary_edges:
-        if on_circle[a] and on_circle[b]:
-            tags[(min(a, b), max(a, b))] = HOLE
-    mesh = TriangleMesh(vertices, triangles, edge_tags=tags)
+    _smooth_near_hole(mesh, rim_mask, center, r, h)
+
+    # tag the boundary edges whose endpoints both sit on the circle
+    on_circle = np.abs(np.linalg.norm(mesh.vertices - center, axis=1) - r) <= 1e-9
+    hole = on_circle[mesh.boundary_edges].all(axis=1)
+    mesh.boundary_tags = np.where(hole, HOLE, OUTER).astype(object)
+    mesh.validate()
     return mesh
 
 
@@ -312,42 +327,41 @@ def _compact(vertices, triangles, rim):
     return vertices[used], remap[triangles], rim_mask
 
 
-def _smooth_near_hole(vertices, triangles, rim_mask, center, r, h):
+def _smooth_near_hole(mesh, rim_mask, center, r, h):
     """One guarded Laplacian pass on interior vertices close to the rim.
 
-    Moves are rejected when they would shrink an incident triangle below 20%
-    of its previous area, which keeps the mesh valid by construction.
+    Moves the vertices of a freshly built `mesh` in place, one candidate at a
+    time in index order, and refreshes its areas. Moves are rejected when
+    they would shrink an incident triangle below 20% of its previous area,
+    which keeps the mesh valid by construction.
     """
+    vertices, triangles = mesh.vertices, mesh.triangles
     nv = len(vertices)
-    mesh_edges = np.sort(
-        triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1
-    )
-    uniq, counts = np.unique(mesh_edges, axis=0, return_counts=True)
     on_boundary = np.zeros(nv, dtype=bool)
-    on_boundary[uniq[counts == 1].ravel()] = True
+    on_boundary[mesh.boundary_edges] = True
 
     dist = np.abs(np.linalg.norm(vertices - center, axis=1) - r)
     candidates = np.where(~on_boundary & ~rim_mask & (dist <= 2.0 * h))[0]
-    if len(candidates) == 0:
-        return
 
-    adj = [[] for _ in range(nv)]
-    for a, b in uniq:
-        adj[a].append(b)
-        adj[b].append(a)
-    tri_of_vertex = [[] for _ in range(nv)]
-    for t, tri in enumerate(triangles):
-        for v in tri:
-            tri_of_vertex[v].append(t)
+    # CSR lists of each vertex's neighbours (ascending) and triangles
+    ends = np.concatenate([mesh.edges, mesh.edges[:, ::-1]])
+    ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+    adj_ptr = np.searchsorted(ends[:, 0], np.arange(nv + 1))
+    corners = np.argsort(triangles.ravel(), kind="stable")
+    tri_of = corners // 3
+    tri_ptr = np.searchsorted(triangles.ravel()[corners], np.arange(nv + 1))
 
     for v in candidates:
-        new = vertices[adj[v]].mean(axis=0)
+        nbrs = ends[adj_ptr[v]:adj_ptr[v + 1], 1]
+        tris = triangles[tri_of[tri_ptr[v]:tri_ptr[v + 1]]]
+        new = vertices[nbrs].mean(axis=0)
         old = vertices[v].copy()
-        before = _signed_areas(vertices, triangles[tri_of_vertex[v]])
+        before = _signed_areas(vertices, tris)
         vertices[v] = new
-        after = _signed_areas(vertices, triangles[tri_of_vertex[v]])
+        after = _signed_areas(vertices, tris)
         if np.any(after < 0.2 * before):
             vertices[v] = old
+    mesh.areas = _signed_areas(vertices, triangles)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fpreg import fem
 from fpreg.boundary import (
@@ -8,7 +9,97 @@ from fpreg.boundary import (
 )
 from fpreg.density import Gmm
 from fpreg.errors import InvalidDistanceField, UnsupportedDegree
-from fpreg.mesh import generate_rect_with_hole, locate_point
+from fpreg.mesh import TriangleMesh, generate_rect_with_hole, locate_point
+
+
+def reference_interior_facets(space):
+    """Interior facets found by a walk over every triangle side.
+
+    A dict pairs each side with the first earlier side on the same vertex
+    pair. That earlier triangle is "plus": the facet runs a -> b as plus
+    walks it, and the unit normal points out of plus.
+    """
+    tris, verts = space.mesh.triangles, space.mesh.vertices
+    local = [(1, 2), (2, 0), (0, 1)]
+    seen, facets = {}, []
+    for t, tri in enumerate(tris):
+        for i, (a, b) in enumerate(local):
+            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+            if key not in seen:
+                seen[key] = (t, i)
+                continue
+            s, j = seen.pop(key)
+            va, vb = tris[s][local[j][0]], tris[s][local[j][1]]
+            tp = verts[vb] - verts[va]
+            length = float(np.linalg.norm(tp))
+            facets.append(dict(verts=(va, vb), plus=s, minus=t, length=length,
+                               normal=np.array([tp[1], -tp[0]]) / length))
+    return facets
+
+
+def reference_normal_grads(space, elem, facet, s):
+    """(Q, ndl) normal gradients of elem's basis at the points a + s (b - a)."""
+    a, b = facet["verts"]
+    tri = space.mesh.triangles[elem]
+    lam = np.zeros((len(s), 3))
+    lam[:, int(np.where(tri == a)[0][0])] = 1.0 - s
+    lam[:, int(np.where(tri == b)[0][0])] = s
+    dn = fem.shape_grads_bary(space.degree, lam)
+    grads = np.einsum("qni,id->qnd", dn, space.grad_lambda[elem])
+    return grads @ facet["normal"]
+
+
+def reference_smoother(space, params):
+    """The C0-IP form with its facet terms assembled facet by facet.
+
+    Each facet block lives on the union of the two sides' dofs, with the
+    jumps and averages summed per dof before the products.
+    """
+    kappa = params.kappa if params.kappa is not None else space.degree
+    lap = space.shape_laplacians()
+    local = space.areas[:, None, None] * np.einsum("ei,ej->eij", lap, lap)
+    A = fem._assemble(space, local)
+    A.data += fem.assemble_mass(space).data / params.delta
+    s, wq = fem.edge_quadrature(3)
+    rows, cols, vals = [], [], []
+    for facet in reference_interior_facets(space):
+        sides = ((facet["plus"], 1.0), (facet["minus"], -1.0))
+        union = np.unique(space.conn[[facet["plus"], facet["minus"]]])
+        col = {d: i for i, d in enumerate(union)}
+        jump = np.zeros((len(s), len(union)))
+        avg = np.zeros(len(union))
+        for elem, sign in sides:
+            gn = reference_normal_grads(space, elem, facet, s)
+            for loc, d in enumerate(space.conn[elem]):
+                jump[:, col[d]] += sign * gn[:, loc]
+                avg[col[d]] += 0.5 * lap[elem, loc]
+        ds = facet["length"] * wq
+        beta = params.sigma_beta * kappa**2 / facet["length"]
+        blk = beta * np.einsum("q,qi,qj->ij", ds, jump, jump)
+        blk += (ds.sum() / beta) * np.outer(avg, avg)
+        rows.append(np.repeat(union, len(union)))
+        cols.append(np.tile(union, len(union)))
+        vals.append(blk.ravel())
+    if rows:
+        F = sp.coo_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=A.shape)
+        A = A + F.tocsr()
+    return (0.5 * (A + A.T)).tocsr()
+
+
+def reference_seminorm(field):
+    """Sum over interior facets of the squared L2 norm of [grad field . n]."""
+    space = field.space
+    s, wq = fem.edge_quadrature(3)
+    total = 0.0
+    for facet in reference_interior_facets(space):
+        jump = np.zeros(len(s))
+        for elem, sign in ((facet["plus"], 1.0), (facet["minus"], -1.0)):
+            gn = reference_normal_grads(space, elem, facet, s)
+            jump += sign * (gn @ field.coeffs[space.conn[elem]])
+        total += facet["length"] * float(wq @ jump**2)
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +157,29 @@ class TestSmoother:
     def test_bilinear_form_symmetric(self, hole_space, params):
         A = assemble_smoother(hole_space, params)
         assert abs(A - A.T).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", ["hole", "square", "triangle"])
+    def test_matches_facet_by_facet_assembly(self, case, hole_space, params):
+        if case == "hole":
+            space = hole_space
+        elif case == "square":
+            space = fem.build_space(TriangleMesh(
+                [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]]), 2)
+        else:
+            space = fem.build_space(
+                TriangleMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]]), 2)
+        A = assemble_smoother(space, params).sorted_indices()
+        ref = reference_smoother(space, params).sorted_indices()
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        scale = np.abs(ref.data).max()
+        assert np.abs(A.data - ref.data).max() <= 1e-14 * scale
+
+    def test_seminorm_matches_facet_by_facet_sum(self, smoothed):
+        for field in smoothed:
+            want = reference_seminorm(field)
+            assert want > 0
+            assert abs(gradient_jump_seminorm(field) - want) <= 1e-13 * want
 
     def test_degree_one_rejected(self, params):
         mesh = generate_rect_with_hole((0, 1), (0, 1), (0, 0), 0.0, 0.25)

@@ -60,6 +60,20 @@ class TestMeshgen:
         out = json.loads(capsys.readouterr().out)
         assert out["tags"] == ["outer"]
 
+    def test_mesh_file_with_missing_vertex_exit_2(self, tmp_path, capsys):
+        (tmp_path / "mesh.json").write_text(json.dumps({
+            "version": 1, "vertices": [[0, 0], [1, 0], [0, 1]],
+            "triangles": [[0, 1, 5]], "boundary": []}))
+        cfg = write_config(tmp_path / "m.json", {
+            "domain": {"mesh_file": "mesh.json"},
+            "out_dir": str(tmp_path / "out"),
+        })
+        assert run_cli(["meshgen", "--config", cfg]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert "InvalidGeometry" in err["message"]
+        assert "missing vertex" in err["message"]
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"domain": [,]}')

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fpreg import mesh as meshmod
+from fpreg import fem, mesh as meshmod
 from fpreg.errors import InvalidGeometry
 from fpreg.mesh import (
     OutsideDomain, PointLocation, TriangleMesh, boundary_distance,
@@ -13,10 +13,88 @@ from fpreg.mesh import (
 
 HOLE_EXACT_AREA = 64.0 - np.pi * 0.25
 
+# the unit square as two triangles, with its four sides as line elements
+GMSH_SQUARE = """$MeshFormat
+2.2 0 8
+$EndMeshFormat
+$Nodes
+4
+1 0 0 0
+2 1 0 0
+3 1 1 0
+4 0 1 0
+$EndNodes
+$Elements
+6
+1 1 2 7 1 1 2
+2 1 2 7 1 2 3
+3 1 2 7 1 3 4
+4 1 2 7 1 4 1
+5 2 2 9 1 1 2 3
+6 2 2 9 1 1 3 4
+$EndElements
+"""
+
 
 @pytest.fixture(scope="module")
 def desk_mesh():
     return generate_rect_with_hole((-4, 4), (-4, 4), (0, 0), 0.5, 0.2)
+
+
+def reference_adjacency(triangles):
+    """Neighbour table and boundary edges from a walk over every side.
+
+    A dict pairs each side with the first earlier side on the same vertex
+    pair; the unpaired sides, directed as their triangle walks them, are the
+    boundary, in lexicographic order.
+    """
+    local = [(1, 2), (2, 0), (0, 1)]
+    owner = {}
+    neighbors = -np.ones((len(triangles), 3), dtype=np.int64)
+    for t, tri in enumerate(triangles):
+        for i, (a, b) in enumerate(local):
+            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+            if key in owner:
+                s, j = owner.pop(key)
+                neighbors[t, i] = s
+                neighbors[s, j] = t
+            else:
+                owner[key] = (t, i)
+    boundary = sorted((triangles[t][local[i][0]], triangles[t][local[i][1]])
+                      for t, i in owner.values())
+    return neighbors, np.array(boundary, dtype=np.int64).reshape(-1, 2)
+
+
+def reference_p2_numbering(mesh):
+    """P2 connectivity, edge list and boundary dofs numbered edge by edge.
+
+    The midpoint dofs 3, 4, 5 of a triangle sit on its sides (0, 1), (1, 2),
+    (2, 0); edges are numbered in the order of np.unique, and a midpoint is
+    on the boundary when its vertex pair is a boundary edge.
+    """
+    tris, nv = mesh.triangles, mesh.num_vertices
+    sides = np.sort(tris[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
+    edges, inverse = np.unique(sides, axis=0, return_inverse=True)
+    conn = np.hstack([tris, nv + inverse.reshape(-1, 3)])
+    pairs = {tuple(sorted(e)) for e in mesh.boundary_edges}
+    emid = [nv + i for i, e in enumerate(edges) if (e[0], e[1]) in pairs]
+    bdofs = np.sort(np.concatenate([np.unique(mesh.boundary_edges),
+                                    np.array(emid, dtype=np.int64)]))
+    return conn, edges, bdofs
+
+
+def reference_grid(nx, ny):
+    """Triangles of the structured grid, cell by cell."""
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            bl, br = i * (ny + 1) + j, (i + 1) * (ny + 1) + j
+            tl, tr = bl + 1, br + 1
+            if (i + j) % 2 == 0:
+                tris += [(bl, br, tr), (bl, tr, tl)]
+            else:
+                tris += [(bl, br, tl), (br, tr, tl)]
+    return np.array(tris, dtype=np.int64)
 
 
 def brute_force_locate(mesh, x):
@@ -74,11 +152,95 @@ class TestGeneration:
         m2.validate()
         assert m2.num_triangles >= 4 * m1.num_triangles
 
+    def test_grid_triangles_match_cell_loop(self):
+        m = generate_rect_with_hole((0, 3), (0, 2), (0, 0), 0.0, 0.5)
+        want = reference_grid(6, 4)
+        assert m.triangles.dtype == want.dtype
+        assert np.array_equal(m.triangles, want)
+
+    def test_mesh_built_once(self, monkeypatch):
+        built = []
+
+        class Counting(TriangleMesh):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(meshmod, "TriangleMesh", Counting)
+        m = generate_rect_with_hole((-2, 2), (-2, 2), (0, 0), 0.5, 0.25)
+        assert len(built) == 1
+        assert set(m.boundary_tags) == {"outer", "hole"}
+
     def test_hole_touching_rectangle_rejected(self):
         with pytest.raises(InvalidGeometry):
             generate_rect_with_hole((-1, 1), (-1, 1), (0.8, 0), 0.5, 0.1)
         with pytest.raises(InvalidGeometry):
             generate_rect_with_hole((-1, 1), (-1, 1), (3, 0), 0.5, 0.1)
+
+
+@pytest.fixture(scope="module",
+                params=["h0.2", "h0.125", "no_hole", "json", "gmsh"])
+def table_mesh(request, desk_mesh, tmp_path_factory):
+    if request.param == "h0.2":
+        return desk_mesh
+    if request.param == "h0.125":
+        return generate_rect_with_hole((-4, 4), (-4, 4), (0, 0), 0.5, 0.125)
+    if request.param == "no_hole":
+        return generate_rect_with_hole((0, 3), (0, 2), (0, 0), 0.0, 0.3)
+    path = tmp_path_factory.mktemp("table")
+    if request.param == "json":
+        save_mesh_json(desk_mesh, path / "mesh.json")
+        m = load_mesh_json(path / "mesh.json")
+        assert np.array_equal(m.boundary_tags, desk_mesh.boundary_tags)
+        return m
+    (path / "square.msh").write_text(GMSH_SQUARE)
+    return load_gmsh(path / "square.msh")
+
+
+class TestEdgeTable:
+    def test_adjacency_matches_side_walk(self, table_mesh):
+        neighbors, boundary = reference_adjacency(table_mesh.triangles)
+        assert table_mesh.neighbors.dtype == neighbors.dtype
+        assert np.array_equal(table_mesh.neighbors, neighbors)
+        assert table_mesh.boundary_edges.dtype == boundary.dtype
+        assert np.array_equal(table_mesh.boundary_edges, boundary)
+
+    def test_p2_numbering_matches_edge_walk(self, table_mesh):
+        conn, edges, bdofs = reference_p2_numbering(table_mesh)
+        space = fem.build_space(table_mesh, 2)
+        for got, want in ((space.conn, conn), (space.edges, edges),
+                          (space.boundary_dofs(), bdofs)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        p1 = fem.build_space(table_mesh, 1)
+        assert np.array_equal(p1.boundary_dofs(),
+                              np.unique(table_mesh.boundary_edges))
+
+    def test_table_is_consistent(self, table_mesh):
+        m = table_mesh
+        sides = m.triangles[:, [[1, 2], [2, 0], [0, 1]]]
+        assert np.array_equal(m.edges[m.side_edges], np.sort(sides, axis=2))
+        owners = m.edge_sides
+        assert np.array_equal(m.side_edges.ravel()[owners[:, 0]],
+                              np.arange(len(m.edges)))
+        pair = owners[:, 1] >= 0
+        assert np.all(owners[pair, 0] < owners[pair, 1])
+        assert np.array_equal(m.side_edges.ravel()[owners[pair, 1]],
+                              np.where(pair)[0])
+
+    def test_edge_of_three_triangles_rejected(self):
+        # a fan of three triangles around the edge (0, 1)
+        verts = [[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.5, 2]]
+        with pytest.raises(InvalidGeometry, match="more than two"):
+            TriangleMesh(verts, [[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        with pytest.raises(InvalidGeometry, match="more than two"):
+            TriangleMesh(verts, [[0, 1, 2], [1, 0, 3], [0, 1, 4]],
+                         validate=False)
+
+    @pytest.mark.parametrize("tri", [[0, 1, 5], [0, -1, 2]])
+    def test_missing_vertex_rejected(self, tri):
+        with pytest.raises(InvalidGeometry, match="missing vertex"):
+            TriangleMesh([[0, 0], [1, 0], [0, 1]], [tri], validate=False)
 
 
 class TestLocate:
@@ -245,28 +407,8 @@ class TestSerialization:
             load_mesh_json(path)
 
     def test_gmsh_reader(self, tmp_path):
-        text = """$MeshFormat
-2.2 0 8
-$EndMeshFormat
-$Nodes
-4
-1 0 0 0
-2 1 0 0
-3 1 1 0
-4 0 1 0
-$EndNodes
-$Elements
-6
-1 1 2 7 1 1 2
-2 1 2 7 1 2 3
-3 1 2 7 1 3 4
-4 1 2 7 1 4 1
-5 2 2 9 1 1 2 3
-6 2 2 9 1 1 3 4
-$EndElements
-"""
         path = tmp_path / "square.msh"
-        path.write_text(text)
+        path.write_text(GMSH_SQUARE)
         m = load_gmsh(path)
         m.validate()
         assert m.num_vertices == 4
