@@ -6,8 +6,8 @@ Run:  python3 demos/01_mesh_and_elements.py
 import numpy as np
 
 from fpreg import (
-    build_space, boundary_distance, generate_rect_with_hole, integrate,
-    interpolate, locate_point,
+    build_space, boundary_distances, generate_rect_with_hole, integrate,
+    interpolate, locate_points, values_at,
 )
 
 # the rectangle-with-hole domain used by both experiments
@@ -32,10 +32,13 @@ print(f"P2 dofs: {space.n_dofs}")
 
 # quadratic functions are reproduced exactly by P2 interpolation
 f = interpolate(space, lambda p: p[:, 0] ** 2 + p[:, 1])
-loc = locate_point(mesh, (1.3, -0.7))
-print(f"interpolant of x^2 + y at (1.3, -0.7): expected {1.3**2 - 0.7:.4f}")
+tri, bary = locate_points(mesh, [(1.3, -0.7)])
+value = values_at(f, tri, bary)[0]
+print(f"interpolant of x^2 + y at (1.3, -0.7): {value:.4f} "
+      f"(expected {1.3**2 - 0.7:.4f})")
 print(f"integral of the interpolant: {integrate(f):.6f}")
 
 # distance to the boundary (hole or outer walls, whichever is closer)
-for pt in [(0.0, 0.7), (0.0, 3.7), (-2.0, 0.0)]:
-    print(f"distance to boundary from {pt}: {boundary_distance(mesh, pt):.4f}")
+pts = [(0.0, 0.7), (0.0, 3.7), (-2.0, 0.0)]
+for pt, d in zip(pts, boundary_distances(mesh, pts)):
+    print(f"distance to boundary from {pt}: {d:.4f}")

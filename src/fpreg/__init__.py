@@ -1,16 +1,14 @@
 """Point-set registration in bounded 2D domains via the Fokker-Planck flow."""
 
 from .mesh import (
-    TriangleMesh, PointLocation, OutsideDomain,
-    generate_rect_with_hole, locate_point, locate_points,
-    boundary_distance, boundary_distances,
+    TriangleMesh, generate_rect_with_hole, locate_points, boundary_distances,
     save_mesh_json, load_mesh_json, load_gmsh,
 )
 from .fem import (
     FeSpace, FeField, VectorField,
-    build_space, interpolate, evaluate, evaluate_gradient, integrate,
+    build_space, interpolate, values_at, gradients_at, integrate,
     assemble_mass, assemble_fp_form, assemble_supg, solve_linear,
-    save_field_binary, load_field_binary, save_field_json, load_field_json,
+    save_field_binary, load_field_binary,
 )
 from .density import (
     Gmm, FitReport, em_fit, select_by_aic,
@@ -26,7 +24,7 @@ from .boundary import (
     regularized_potential, gradient_jump_seminorm,
 )
 from .particles import (
-    ParticleSet, TrajectoryLog, velocity_at,
+    ParticleSet, TrajectoryLog,
     advect_euler, advect_rk2, advect_gf, gf_potential, hausdorff,
     write_trajectory_csv, write_summary_json,
 )

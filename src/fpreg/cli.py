@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import _svg, analytic, boundary, density, fem, fpsolve, mesh as meshmod
+from . import _svg, boundary, density, fem, fpsolve, mesh as meshmod
 from . import particles as particlesmod
 from .errors import CollapseFailure, FpregError, SolveFailure
 
@@ -192,13 +192,23 @@ def cmd_fitgmm(cfg, args):
     return 0
 
 
+def _target_arc_spec(cloud):
+    """The arc spec of the target cloud described by a `cloud` section.
+
+    The target has `m` points (default `n`), starts at `theta_inf` and uses
+    `target_seed` (default `seed` + 1000).
+    """
+    spec = dict(cloud)
+    spec["n"] = spec.get("m", spec["n"])
+    spec["theta0"] = spec["theta_inf"]
+    spec["seed"] = spec.get("target_seed", spec.get("seed", 0) + 1000)
+    return spec
+
+
 def cmd_gencloud(cfg, args):
-    spec = dict(cfg.section("cloud"))
-    which = spec.get("which", "reference")
-    if which == "target":
-        spec["n"] = spec.get("m", spec["n"])
-        spec["theta0"] = spec["theta_inf"]
-        spec["seed"] = spec.get("target_seed", spec.get("seed", 0) + 1000)
+    spec = cfg.section("cloud")
+    if spec.get("which", "reference") == "target":
+        spec = _target_arc_spec(spec)
     pts = arc_cloud_from_spec(spec, args.seed)
     out = _outdir(cfg, args)
     path = os.path.join(out, "points.csv")
@@ -230,7 +240,7 @@ def cmd_solve(cfg, args):
     grid = cfg.build_grid()
     g0 = cfg.resolve_density("rho0")
     g_inf = cfg.resolve_density("rho_inf")
-    _, grad_V = _potential_fields(cfg, space, g_inf)
+    V, grad_V = _potential_fields(cfg, space, g_inf)
     rho0 = fem.interpolate(space, lambda p: density.gmm_pdf(g0, p))
 
     traj = fpsolve.solve_fp(
@@ -245,6 +255,7 @@ def cmd_solve(cfg, args):
     meshmod.save_mesh_json(mesh, os.path.join(out, "mesh.json"))
     density.gmm_to_json(g0, os.path.join(out, "gmm_rho0.json"))
     density.gmm_to_json(g_inf, os.path.join(out, "gmm_rhoinf.json"))
+    fem.save_field_binary(V, os.path.join(out, "V.fpfld"))
     table = fpsolve.diagnostics_report(traj)
     fpsolve.write_diagnostics_csv(table, os.path.join(out, "diagnostics.csv"))
     for k in traj.ks:
@@ -323,8 +334,9 @@ def cmd_trace(cfg, args):
         project_tol=float(integ.get("project_tol", 1e-2)),
     )
     if method in ("euler", "rk2"):
-        g_inf = density.gmm_from_json(os.path.join(run_dir, "gmm_rhoinf.json"))
-        _, grad_V = _potential_fields(cfg, space, g_inf)
+        # the drift of the solve, whatever the config says now
+        V = fem.load_field_binary(os.path.join(run_dir, "V.fpfld"), space)
+        grad_V = fem.VectorField.from_gradient(V)
         kw = dict(common, formula=integ.get("velocity_formula", "theorem"))
         if method == "euler":
             log = particlesmod.advect_euler(pset, traj, grad_V, grid, **kw)
@@ -426,11 +438,7 @@ def cmd_report(cfg, args):
         target = None
         cloud = cfg.doc.get("cloud")
         if cloud and "theta_inf" in cloud:
-            spec = dict(cloud)
-            spec["n"] = spec.get("m", spec["n"])
-            spec["theta0"] = spec["theta_inf"]
-            spec["seed"] = spec.get("target_seed", spec.get("seed", 0) + 1000)
-            target = arc_cloud_from_spec(spec)
+            target = arc_cloud_from_spec(_target_arc_spec(cloud))
         rep = cfg.section("report", required=False)
         if target is None and "target_cloud" in rep:
             target = density.load_points_csv(cfg.path(rep["target_cloud"]))

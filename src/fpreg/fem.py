@@ -1,10 +1,13 @@
 """Lagrange P1/P2 finite elements on triangles.
 
 Provides spaces, fields, quadrature, assembly of the mass / Fokker-Planck /
-SUPG forms, point evaluation and sparse linear solves. All bilinear forms are
-assembled with symmetric Gauss rules on the reference triangle; physical
-gradients come from the constant per-element barycentric gradients. The P2
-edge dofs and the boundary dofs are read from the mesh edge table.
+SUPG forms, batched evaluation at located points (`values_at`,
+`gradients_at`) and sparse linear solves. The drift is always the
+elementwise gradient of a scalar potential (`VectorField`). All bilinear
+forms are assembled with symmetric Gauss rules on the reference triangle;
+physical gradients come from the constant per-element barycentric
+gradients. The P2 edge dofs and the boundary dofs are read from the mesh
+edge table.
 
 Every form of a space is a `csr_matrix` on the space's one element pattern
 (`FeSpace.pattern`), so forms of the same space add by adding their `data`.
@@ -18,13 +21,11 @@ the last refinement sweep's included.
 from __future__ import annotations
 
 import struct
-import json
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import mesh as meshmod
 from .errors import InterpolationFailure, SolveFailure, UnsupportedDegree
 
 # ---------------------------------------------------------------------------
@@ -276,14 +277,17 @@ class FeField:
 
 
 def interpolate(space, f):
-    """Nodal interpolation: coefficients are f at the dof coordinates."""
+    """Nodal interpolation: coefficients are f at the dof coordinates.
+
+    `f` maps an (n, 2) array of points to the (n,) array of its values.
+    """
     pts = space.dof_coords
-    try:
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape != (len(pts),):
-            raise TypeError
-    except TypeError:
-        vals = np.array([f(p) for p in pts], dtype=float)
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != (len(pts),):
+        raise ValueError(
+            f"f mapped {len(pts)} points to an array of shape {vals.shape}; "
+            f"expected ({len(pts)},)"
+        )
     bad = ~np.isfinite(vals)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -295,23 +299,6 @@ def interpolate(space, f):
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def evaluate(field, loc):
-    """Value of the field at a located point."""
-    if isinstance(loc, meshmod.OutsideDomain):
-        raise ValueError("cannot evaluate a field outside the domain")
-    n = shape_values(field.space.degree, loc.bary)[0]
-    return float(n @ field.coeffs[field.space.conn[loc.triangle]])
-
-
-def evaluate_gradient(field, loc):
-    """Gradient 2-vector of the field at a located point."""
-    if isinstance(loc, meshmod.OutsideDomain):
-        raise ValueError("cannot evaluate a field outside the domain")
-    dn = shape_grads_bary(field.space.degree, loc.bary)[0]  # (ndl, 3)
-    coef = field.coeffs[field.space.conn[loc.triangle]]
-    return coef @ dn @ field.space.grad_lambda[loc.triangle]
 
 
 def values_at(field, tri, bary):
@@ -356,85 +343,53 @@ def integration_vector(space):
 
 
 class VectorField:
-    """Piecewise-polynomial 2D vector field over an FeSpace.
+    """The elementwise gradient of a scalar potential over an FeSpace.
 
-    Two representations are supported: a pair of nodal component fields, and
-    the elementwise gradient of a scalar field (discontinuous across element
-    interfaces, matching a drift obtained by differentiating an interpolant).
+    It is discontinuous across element interfaces, matching a drift obtained
+    by differentiating an interpolant.
     """
 
-    def __init__(self, space, components=None, potential=None, sign=1.0):
-        self.space = space
-        self.components = components
+    def __init__(self, potential):
+        self.space = potential.space
         self.potential = potential
-        self.sign = sign
-        if (components is None) == (potential is None):
-            raise ValueError("give either components or potential")
 
     @classmethod
-    def from_components(cls, fx, fy):
-        if fx.space is not fy.space:
-            raise ValueError("component fields must share a space")
-        return cls(fx.space, components=(fx, fy))
-
-    @classmethod
-    def from_gradient(cls, field, sign=1.0):
-        """The elementwise gradient of `field`, scaled by `sign`."""
-        return cls(field.space, potential=field, sign=sign)
+    def from_gradient(cls, field):
+        """The elementwise gradient of `field`."""
+        return cls(field)
 
     @classmethod
     def zero(cls, space):
-        return cls.from_components(FeField(space), FeField(space))
+        """The gradient of the zero field."""
+        return cls(FeField(space))
 
     def values(self, lam):
         """(E, Q, 2) values at reference points lam on every element."""
         space = self.space
-        if self.components is not None:
-            vx = values_on_elements(self.components[0], lam)
-            vy = values_on_elements(self.components[1], lam)
-            return np.stack([vx, vy], axis=-1)
         dn = shape_grads_bary(space.degree, lam)  # (Q, ndl, 3)
         coef = self.potential.coeffs[space.conn]  # (E, ndl)
-        out = np.einsum("en,qni,eid->eqd", coef, dn, space.grad_lambda)
-        return self.sign * out
+        return np.einsum("en,qni,eid->eqd", coef, dn, space.grad_lambda)
 
     def divergence(self, lam):
-        """(E, Q) divergence at reference points (constant per element if
-        the field is the gradient of a P2 scalar)."""
-        space = self.space
+        """(E, Q) divergence at reference points lam: the Laplacian of the
+        potential, constant on each element for P1 and P2."""
         q = len(np.atleast_2d(lam))
-        if self.potential is not None:
-            lap = space.shape_laplacians()  # (E, ndl)
-            coef = self.potential.coeffs[space.conn]
-            div = self.sign * np.einsum("en,en->e", coef, lap)
-            return np.repeat(div[:, None], q, axis=1)
-        dn = shape_grads_bary(space.degree, lam)
-        gx = np.einsum("en,qni,eid->eqd", self.components[0].coeffs[space.conn],
-                       dn, space.grad_lambda)
-        gy = np.einsum("en,qni,eid->eqd", self.components[1].coeffs[space.conn],
-                       dn, space.grad_lambda)
-        return gx[..., 0] + gy[..., 1]
+        coef = self.potential.coeffs[self.space.conn]
+        div = np.einsum("en,en->e", coef, self.space.shape_laplacians())
+        return np.repeat(div[:, None], q, axis=1)
 
     def at(self, tri, bary):
-        """(n, 2) values at located points."""
-        bary = np.atleast_2d(bary)
-        tri = np.atleast_1d(tri)
-        if self.components is not None:
-            vx = values_at(self.components[0], tri, bary)
-            vy = values_at(self.components[1], tri, bary)
-            return np.column_stack([vx, vy])
-        return self.sign * gradients_at(self.potential, tri, bary)
+        """(n, 2) values at located points (tri (n,), bary (n, 3))."""
+        return gradients_at(self.potential, tri, bary)
 
 
 def as_vector_field(space, grad_V):
-    """Normalize drift arguments: VectorField, (fx, fy) pair, or None."""
+    """The drift argument as a VectorField; None stands for zero drift."""
     if grad_V is None:
         return VectorField.zero(space)
     if isinstance(grad_V, VectorField):
         return grad_V
-    if isinstance(grad_V, (tuple, list)) and len(grad_V) == 2:
-        return VectorField.from_components(grad_V[0], grad_V[1])
-    raise TypeError("grad_V must be a VectorField or a pair of FeFields")
+    raise TypeError("grad_V must be a VectorField or None")
 
 
 # ---------------------------------------------------------------------------
@@ -660,23 +615,3 @@ def load_field_binary(path, space):
             )
         coeffs = np.frombuffer(f.read(8 * length), dtype="<f8")
     return FeField(space, coeffs.copy())
-
-
-def save_field_json(field, path, mesh_path):
-    doc = {
-        "space": {"degree": field.space.degree, "mesh": str(mesh_path)},
-        "coeffs": field.coeffs.tolist(),
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
-
-
-def load_field_json(path, space=None):
-    with open(path) as f:
-        doc = json.load(f)
-    if space is None:
-        m = meshmod.load_mesh_json(doc["space"]["mesh"])
-        space = FeSpace(m, doc["space"]["degree"])
-    if space.degree != doc["space"]["degree"]:
-        raise ValueError("degree mismatch between file and space")
-    return FeField(space, np.array(doc["coeffs"], dtype=float))

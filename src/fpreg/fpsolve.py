@@ -10,7 +10,7 @@ arrays, and one lagged `fem.LinearSolver` factorization serves many steps.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,11 +79,10 @@ class _MetricRecorder:
 
     def __init__(self, space, rho_inf):
         degree = 2 * space.degree + 2
-        lam, w, pts, n, _ = space.quad(degree)
+        _, w, pts, n, _ = space.quad(degree)
         self.space = space
-        self.lam = lam
         self.w = w
-        self.shape_t = fem.shape_values(space.degree, lam).T  # (ndl, Q)
+        self.shape_t = n.T  # (ndl, Q)
         flat = pts.reshape(-1, 2)
         vals = np.asarray(rho_inf(flat), dtype=float)
         self.rho_inf = vals.reshape(pts.shape[:2])
@@ -96,7 +95,7 @@ class _MetricRecorder:
         integrand = np.zeros_like(vals)
         integrand[pos] = vals[pos] * np.log(vals[pos] / self.rho_inf[pos])
         kl = float(np.einsum("e,eq,q->", self.space.areas, integrand, self.w))
-        return l1, kl, int((~pos).sum())
+        return l1, kl
 
 
 def solve_fp(space, rho0, grad_V, grid, supg=True, rho_inf=None,
@@ -161,7 +160,6 @@ def solve_fp(space, rho0, grad_V, grid, supg=True, rho_inf=None,
         "l1_error": np.full(K + 1, np.nan),
         "kl": np.full(K + 1, np.nan),
         "min_nodal": np.full(K + 1, np.nan),
-        "kl_clipped": np.zeros(K + 1, dtype=np.int64),
         "refactored": np.zeros(K + 1, dtype=np.int64),
         "lu_solves": np.zeros(K + 1, dtype=np.int64),
         "residual": np.full(K + 1, np.nan),
@@ -181,10 +179,7 @@ def solve_fp(space, rho0, grad_V, grid, supg=True, rho_inf=None,
         diag["mass"][k] = mass_vec @ coeffs
         diag["min_nodal"][k] = coeffs.min()
         if recorder is not None:
-            l1, kl, clipped = recorder.metrics(coeffs)
-            diag["l1_error"][k] = l1
-            diag["kl"][k] = kl
-            diag["kl_clipped"][k] = clipped
+            diag["l1_error"][k], diag["kl"][k] = recorder.metrics(coeffs)
         if k in store_row:
             snapshots[store_row[k]] = coeffs
 
@@ -221,30 +216,17 @@ def solve_fp(space, rho0, grad_V, grid, supg=True, rho_inf=None,
 # reporting
 
 
-def diagnostics_report(traj, rho_inf=None):
+def diagnostics_report(traj):
     """Per-step diagnostic table as a dict of aligned arrays.
 
-    Metrics recorded during the solve are reused; otherwise they are
-    recomputed against rho_inf, which requires every step to be stored.
+    The L1/KL metrics are those recorded during the solve, so the solve must
+    have been given rho_inf.
     """
     diag = traj.diagnostics
-    have_metrics = np.all(np.isfinite(diag["l1_error"]))
-    if have_metrics:
-        return {k: diag[k].copy() for k in
-                ("k", "t", "mass", "l1_error", "kl", "min_nodal")}
-    if rho_inf is None:
-        raise ValueError("metrics were not recorded; pass rho_inf")
-    if len(traj.ks) != traj.grid.K + 1:
-        raise ValueError("recomputing metrics requires every step stored")
-    rec = _MetricRecorder(traj.space, rho_inf)
-    l1 = np.empty(traj.grid.K + 1)
-    kl = np.empty(traj.grid.K + 1)
-    for i, k in enumerate(traj.ks):
-        l1[k], kl[k], _ = rec.metrics(traj.snapshots[i])
-    out = {key: diag[key].copy() for key in ("k", "t", "mass", "min_nodal")}
-    out["l1_error"] = l1
-    out["kl"] = kl
-    return {k: out[k] for k in ("k", "t", "mass", "l1_error", "kl", "min_nodal")}
+    if not np.all(np.isfinite(diag["l1_error"])):
+        raise ValueError("metrics were not recorded; solve with rho_inf")
+    return {k: diag[k].copy() for k in
+            ("k", "t", "mass", "l1_error", "kl", "min_nodal")}
 
 
 def write_diagnostics_csv(table, path):

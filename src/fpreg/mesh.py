@@ -9,19 +9,16 @@ read from it, and so are the P2 edge dofs and the interior facets of
 The mesh generator triangulates a structured grid, carves out the triangles
 that intersect the hole disk, snaps the rim vertices onto the circle and
 relaxes the neighbouring interior vertices with one guarded Laplacian pass.
-Point location walks all query points through the neighbour table at once;
-the walks that stall at the boundary or run out of steps are settled
-together by one blocked exhaustive scan. Boundary distances, nearest facets
-and inward normals are batched the same way. The single-point functions
-(`locate_point`, `boundary_distance`, `nearest_boundary_facet`,
-`inward_normal`, `barycentric`) are thin wrappers over the batched ones, so
-each geometric kernel exists once.
+Every query takes a batch of points. Point location walks all query points
+through the neighbour table at once; the walks that stall at the boundary
+or run out of steps are settled together by one blocked exhaustive scan.
+Boundary distances, nearest facets and inward normals are batched the same
+way.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,22 +31,6 @@ HOLE = "hole"
 _BARY_TOL = 1e-12
 # local side i joins the two vertices other than i
 _SIDES = [[1, 2], [2, 0], [0, 1]]
-
-
-@dataclass
-class PointLocation:
-    """A point inside the mesh: owning triangle plus barycentric coordinates."""
-
-    triangle: int
-    bary: np.ndarray  # shape (3,), nonnegative, sums to 1
-
-
-@dataclass
-class OutsideDomain:
-    """Marker for a query point outside the mesh, with its closest boundary point."""
-
-    nearest: np.ndarray  # shape (2,)
-    distance: float
 
 
 class TriangleMesh:
@@ -159,9 +140,12 @@ def _edge_table(triangles):
       side_edges : (nt, 3) edge of the side opposite each local vertex
       edge_sides : (ne, 2) owning sides as flat indices 3*t + i, the lower
                    first; the second is -1 on a boundary edge
-    Raises InvalidGeometry when an edge has more than two owners.
+    Raises InvalidGeometry when an edge has more than two owners, or when
+    its two owners walk it in the same direction: with counter-clockwise
+    triangles that means they overlap (a doubled or folded pair).
     """
-    keys = np.sort(triangles[:, _SIDES].reshape(-1, 2), axis=1)
+    sides = triangles[:, _SIDES].reshape(-1, 2)
+    keys = np.sort(sides, axis=1)
     edges, side_edges, counts = np.unique(
         keys, axis=0, return_inverse=True, return_counts=True
     )
@@ -178,6 +162,15 @@ def _edge_table(triangles):
     edge_sides[:, 0] = order[first]
     pair = counts == 2
     edge_sides[pair, 1] = order[first[pair] + 1]
+    owners = edge_sides[pair]
+    same = sides[owners[:, 0], 0] == sides[owners[:, 1], 0]
+    if np.any(same):
+        s0, s1 = owners[int(np.argmax(same))]
+        a, b = sides[s0]
+        raise InvalidGeometry(
+            f"triangles {s0 // 3} and {s1 // 3} overlap: both walk the edge "
+            f"({a}, {b}) in the same direction"
+        )
     return edges, side_edges.reshape(-1, 3), edge_sides
 
 
@@ -393,26 +386,6 @@ def _barycentrics(mesh, t, x, y):
     return l0, l1, 1.0 - l0 - l1
 
 
-def barycentric(mesh, triangle, x):
-    """Barycentric coordinates of x in the given triangle (may be negative)."""
-    x = np.asarray(x, dtype=float)
-    return np.array([l[0] for l in _barycentrics(mesh, [triangle], x[0], x[1])])
-
-
-def locate_point(mesh, x, hint=None):
-    """Locate x in the mesh: PointLocation inside, OutsideDomain otherwise.
-
-    The single-point form of `locate_points`, starting the walk at `hint`
-    (triangle 0 when absent).
-    """
-    x = np.asarray(x, dtype=float).reshape(1, 2)
-    tri, bary = locate_points(mesh, x, [0 if hint is None else int(hint)])
-    if tri[0] < 0:
-        _, nearest, dist = nearest_boundary_facets(mesh, x)
-        return OutsideDomain(nearest=nearest[0], distance=float(dist[0]))
-    return PointLocation(triangle=int(tri[0]), bary=bary[0])
-
-
 def locate_points(mesh, points, hints=None):
     """Vectorized walk-based location of many points at once.
 
@@ -494,16 +467,9 @@ def _segment_distances(points, segments, closest=False):
     return d
 
 
-def boundary_distance(mesh, x, tag=None):
-    """Euclidean distance from x to the nearest boundary facet.
-
-    With `tag` given, only facets carrying that tag are considered.
-    """
-    return float(boundary_distances(mesh, x, tag)[0])
-
-
 def boundary_distances(mesh, points, tag=None):
-    """Vectorized boundary_distance for an (n, 2) array of points.
+    """Euclidean distance from each of the (n, 2) points to the nearest
+    boundary facet, or to the nearest facet carrying `tag` when it is given.
 
     `tag` may also be a tuple of tags (None standing for every facet): the
     result is then one distance array per entry, all from a single pass
@@ -538,12 +504,6 @@ def nearest_boundary_facets(mesh, points):
     return j, np.column_stack([cx[rows, j], cy[rows, j]]), d[rows, j]
 
 
-def nearest_boundary_facet(mesh, x):
-    """Index of the boundary facet closest to x, with the closest point."""
-    j, p, _ = nearest_boundary_facets(mesh, x)
-    return int(j[0]), p[0]
-
-
 def inward_normals(mesh, facets):
     """(m, 2) unit normals of boundary facets, pointing into the domain."""
     edges = mesh.boundary_edges[facets]
@@ -551,11 +511,6 @@ def inward_normals(mesh, facets):
     t /= np.linalg.norm(t, axis=1, keepdims=True)
     # boundary edges are directed with the domain on the left
     return np.column_stack([-t[:, 1], t[:, 0]])
-
-
-def inward_normal(mesh, facet):
-    """Unit normal of a boundary facet pointing into the domain."""
-    return inward_normals(mesh, [facet])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Three integrators: explicit Euler on the velocity u = -(grad rho / rho +
 grad V), Heun (RK2) with the density blended linearly in time between
 consecutive snapshots, and the gradient-flow update that displaces particles
 by the gradient of a per-step transport potential (no dt factor: the step
-length is already encoded in the density increment).
+length is already encoded in the density increment). Velocities and
+displacements are evaluated for all located particles at once.
 
 Particles leaving the domain are projected back to the nearest interior
 point at a configurable distance from the boundary (or killed, by flag);
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,19 +77,8 @@ class TrajectoryLog:
         return pos
 
 
-def velocity_at(x, rho, grad_V, floor=DENSITY_FLOOR, formula="theorem"):
-    """Transport velocity at a single point inside the domain."""
-    loc = meshmod.locate_point(rho.space.mesh, x)
-    if isinstance(loc, meshmod.OutsideDomain):
-        raise ValueError(f"point {np.asarray(x).tolist()} is outside the domain")
-    drift = fem.as_vector_field(rho.space, grad_V)
-    tri = np.array([loc.triangle])
-    bary = loc.bary[None, :]
-    u = _velocities(rho, drift, tri, bary, floor, formula)
-    return u[0]
-
-
 def _velocities(rho, drift, tri, bary, floor, formula):
+    """(n, 2) transport velocities at the located points (tri, bary)."""
     vals = fem.values_at(rho, tri, bary)
     grads = fem.gradients_at(rho, tri, bary)
     gv = drift.at(tri, bary)
@@ -328,16 +318,15 @@ def gf_potential(rho_k, rho_k1, eps_gf, weight_floor=GF_WEIGHT_FLOOR):
 
 def advect_gf(pset, traj, eps_gf=1e-10, grid=None, k_start=0, k_end=None,
               boundary="project", project_tol=1e-2, track_distances=True,
-              max_speed=None, max_step=None):
+              max_speed=None):
     """Gradient-flow transport: X += grad psi_k(X), no dt factor.
 
     Per-step displacements can be clamped to max_speed * dt_k (a CFL-style
-    guard) and/or to the absolute length max_step. In under-resolved
-    low-density pockets the discrete transport potential carries
-    noise-driven spikes far above the physical velocity scale, most
-    violently during the initial transient; the speed clamp bounds those
-    kicks while leaving genuine bulk motion untouched. Clamp events are
-    counted on the returned log.
+    guard). In under-resolved low-density pockets the discrete transport
+    potential carries noise-driven spikes far above the physical velocity
+    scale, most violently during the initial transient; the speed clamp
+    bounds those kicks while leaving genuine bulk motion untouched. Clamp
+    events are counted on the returned log.
     """
     grid = grid or traj.grid
     k_end = grid.K if k_end is None else k_end
@@ -355,12 +344,8 @@ def advect_gf(pset, traj, eps_gf=1e-10, grid=None, k_start=0, k_end=None,
         idx, tri, bary = adv.located()
         if len(idx):
             disp = fem.gradients_at(psi, tri, bary)
-            cap = np.inf
             if max_speed is not None:
                 cap = max_speed * grid.dt(k)
-            if max_step is not None:
-                cap = min(cap, max_step)
-            if np.isfinite(cap):
                 norms = np.linalg.norm(disp, axis=1)
                 over = norms > cap
                 if np.any(over):

@@ -9,7 +9,7 @@ from fpreg.boundary import (
 )
 from fpreg.density import Gmm
 from fpreg.errors import InvalidDistanceField, UnsupportedDegree
-from fpreg.mesh import TriangleMesh, generate_rect_with_hole, locate_point
+from fpreg.mesh import TriangleMesh, generate_rect_with_hole, locate_points
 
 
 def reference_interior_facets(space):
@@ -221,13 +221,12 @@ class TestRegularizedPotential:
         rng = np.random.default_rng(4)
         angles = rng.uniform(0, 2 * np.pi, 24)
         pts = 0.62 * np.column_stack([np.cos(angles), np.sin(angles)])
-        for p in pts:
-            loc = locate_point(mesh, p)
-            extra = (g1.at([loc.triangle], loc.bary[None, :])
-                     - g0.at([loc.triangle], loc.bary[None, :]))[0]
-            # -extra is the added force; it should push outward (same
-            # direction as p, which points away from the hole center)
-            assert -extra @ p > 0
+        tri, bary = locate_points(mesh, pts)
+        assert np.all(tri >= 0)
+        extra = g1.at(tri, bary) - g0.at(tri, bary)
+        # -extra is the added force; it should push outward (same
+        # direction as p, which points away from the hole center)
+        assert np.all(np.einsum("nd,nd->n", -extra, pts) > 0)
 
     def test_monotone_in_eps(self, hole_space, smoothed, gmm):
         _, wd = smoothed

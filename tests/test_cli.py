@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from fpreg import cli
+from fpreg import boundary, cli, particles
 from fpreg.density import load_points_csv
 from fpreg.errors import SolveFailure
 from fpreg.mesh import load_mesh_json
@@ -74,6 +74,25 @@ class TestMeshgen:
         assert "InvalidGeometry" in err["message"]
         assert "missing vertex" in err["message"]
 
+    @pytest.mark.parametrize("triangles", [
+        [[0, 1, 2], [0, 1, 2]],
+        [[0, 1, 2], [0, 1, 3]],
+    ], ids=["doubled", "folded"])
+    def test_mesh_file_with_overlapping_triangles_exit_2(self, tmp_path,
+                                                         capsys, triangles):
+        (tmp_path / "mesh.json").write_text(json.dumps({
+            "version": 1, "vertices": [[0, 0], [1, 0], [0, 1], [0.4, 0.4]],
+            "triangles": triangles, "boundary": []}))
+        cfg = write_config(tmp_path / "m.json", {
+            "domain": {"mesh_file": "mesh.json"},
+            "out_dir": str(tmp_path / "out"),
+        })
+        assert run_cli(["meshgen", "--config", cfg]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert "InvalidGeometry" in err["message"]
+        assert "overlap" in err["message"]
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"domain": [,]}')
@@ -122,6 +141,45 @@ class TestGencloud:
         run_cli(["gencloud", "--config", cfg])
         capsys.readouterr()
         assert open(out["points"]).read() == first
+
+    def test_report_compares_with_the_generated_target(self, tmp_path,
+                                                       capsys, monkeypatch):
+        cloud = {"n": 30, "m": 25, "theta0": 0.5, "theta_inf": 2.0,
+                 "dtheta": 1.5, "noise": 0.1, "seed": 4}
+        cfg = write_config(tmp_path / "target.json", {
+            "cloud": dict(cloud, which="target"),
+            "out_dir": str(tmp_path / "run"),
+        })
+        assert run_cli(["gencloud", "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)
+        generated = load_points_csv(out["points"])
+        assert len(generated) == 25
+
+        run_dir = tmp_path / "run"
+        (run_dir / "diagnostics.csv").write_text(
+            "k,t,mass,l1_error,kl,min_nodal\n"
+            "0,0.0,1.0,2.0,3.0,0.0\n"
+            "1,1.0,1.0,1.0,1.5,0.0\n"
+        )
+        (run_dir / "trajectories.csv").write_text(
+            "k,t,particle_id,x,y,alive\n"
+            "0,0.0,0,0.0,1.0,1\n"
+            "1,1.0,0,-1.0,0.0,1\n"
+        )
+        compared = []
+
+        def hausdorff(a, b):
+            compared.append(b)
+            return 0.0
+
+        monkeypatch.setattr(particles, "hausdorff", hausdorff)
+        cfg = write_config(tmp_path / "report.json", {
+            "cloud": cloud, "out_dir": str(run_dir),
+        })
+        assert run_cli(["report", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert len(compared) == 1
+        assert np.array_equal(compared[0], generated)
 
 
 class TestFitgmm:
@@ -198,6 +256,30 @@ class TestPipeline:
         capsys.readouterr()
         for f, data in blob1.items():
             assert open(os.path.join(run_dir, f), "rb").read() == data
+
+    def test_trace_uses_the_potential_of_the_solve(self, tmp_path,
+                                                    tiny_config, capsys,
+                                                    monkeypatch):
+        # tiny_config has eps > 0, so the solve runs the distance smoother
+        assert run_cli(["solve", "--config", tiny_config]) == 0
+        capsys.readouterr()
+        run_dir = tmp_path / "run"
+        assert (run_dir / "V.fpfld").exists()
+        assert run_cli(["trace", "--config", tiny_config]) == 0
+        capsys.readouterr()
+        want = (run_dir / "trajectories.csv").read_bytes()
+
+        def no_smoothing(*args, **kwargs):
+            raise AssertionError("trace rebuilt the potential")
+
+        monkeypatch.setattr(boundary, "smooth_distance", no_smoothing)
+        # a changed boundary section cannot change the drift either
+        doc = json.load(open(tiny_config))
+        doc["boundary"]["eps"] = 0.5
+        cfg = write_config(tmp_path / "changed.json", doc)
+        assert run_cli(["trace", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert (run_dir / "trajectories.csv").read_bytes() == want
 
     def test_run_json_solver_totals(self, tmp_path, tiny_config, capsys,
                                     count_splu):

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 import sympy as sym
 
-from fpreg import density, fem, mesh as meshmod
+from fpreg import density, fem
 from fpreg.errors import InterpolationFailure, SolveFailure, UnsupportedDegree
 from fpreg.fem import (
     FeField, VectorField, assemble_fp_form, assemble_mass, assemble_supg,
-    build_space, evaluate, evaluate_gradient, integrate, interpolate,
-    load_field_binary, load_field_json, save_field_binary, save_field_json,
-    solve_linear,
+    build_space, gradients_at, integrate, interpolate, load_field_binary,
+    save_field_binary, solve_linear, values_at,
 )
-from fpreg.mesh import TriangleMesh, generate_rect_with_hole, locate_point
+from fpreg.mesh import TriangleMesh, generate_rect_with_hole, locate_points
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +187,32 @@ class TestSupg:
         assert np.abs(ones @ (L + ss)).max() < 1e-9
 
 
+class TestVectorField:
+    def test_gradient_of_quadratic(self, fine_square):
+        sp = build_space(fine_square, 2)
+        V = interpolate(sp, lambda p: p[:, 0] ** 2 + 3 * p[:, 0] * p[:, 1])
+        drift = VectorField.from_gradient(V)
+        lam, _ = fem.triangle_quadrature(2)
+        pts = np.einsum("qi,eid->eqd", lam,
+                        fine_square.vertices[fine_square.triangles])
+        want = np.stack([2 * pts[..., 0] + 3 * pts[..., 1], 3 * pts[..., 0]],
+                        axis=-1)
+        assert np.allclose(drift.values(lam), want, atol=1e-10)
+        assert np.allclose(drift.divergence(lam), 2.0, atol=1e-9)
+        tri, bary = locate_points(fine_square, pts.reshape(-1, 2))
+        assert np.array_equal(drift.at(tri, bary), gradients_at(V, tri, bary))
+
+    def test_zero_and_none(self, fine_square):
+        sp = build_space(fine_square, 2)
+        lam, _ = fem.triangle_quadrature(2)
+        for drift in (VectorField.zero(sp), fem.as_vector_field(sp, None)):
+            assert not drift.values(lam).any()
+            assert not drift.divergence(lam).any()
+        V = FeField(sp)
+        with pytest.raises(TypeError):
+            fem.as_vector_field(sp, (V, V))
+
+
 class TestSolve:
     def test_identity(self):
         import scipy.sparse as sp_
@@ -257,16 +282,16 @@ class TestEvaluation:
     def test_p1_reproduces_linear(self, fine_square):
         sp = build_space(fine_square, 1)
         f = interpolate(sp, lambda p: p[:, 0])
-        loc = locate_point(fine_square, (0.31, 0.7))
-        assert abs(evaluate(f, loc) - 0.31) < 1e-12
-        assert np.allclose(evaluate_gradient(f, loc), [1, 0], atol=1e-12)
+        tri, bary = locate_points(fine_square, (0.31, 0.7))
+        assert abs(values_at(f, tri, bary)[0] - 0.31) < 1e-12
+        assert np.allclose(gradients_at(f, tri, bary), [[1, 0]], atol=1e-12)
 
     def test_p2_reproduces_quadratic(self, fine_square):
         sp = build_space(fine_square, 2)
         f = interpolate(sp, lambda p: p[:, 0] ** 2)
-        loc = locate_point(fine_square, (0.37, 0.21))
-        assert abs(evaluate(f, loc) - 0.37**2) < 1e-10
-        assert np.allclose(evaluate_gradient(f, loc), [0.74, 0], atol=1e-10)
+        tri, bary = locate_points(fine_square, (0.37, 0.21))
+        assert abs(values_at(f, tri, bary)[0] - 0.37**2) < 1e-10
+        assert np.allclose(gradients_at(f, tri, bary), [[0.74, 0]], atol=1e-10)
 
     def test_gradient_matches_finite_differences(self, fine_square):
         sp = build_space(fine_square, 2)
@@ -274,15 +299,17 @@ class TestEvaluation:
         f = FeField(sp, rng.normal(size=sp.n_dofs))
         pts = rng.uniform(0.1, 0.9, size=(100, 2))
         eps = 1e-6
-        for p in pts:
-            g = evaluate_gradient(f, locate_point(fine_square, p))
-            fd = np.array([
-                (evaluate(f, locate_point(fine_square, p + [eps, 0]))
-                 - evaluate(f, locate_point(fine_square, p - [eps, 0]))) / (2 * eps),
-                (evaluate(f, locate_point(fine_square, p + [0, eps]))
-                 - evaluate(f, locate_point(fine_square, p - [0, eps]))) / (2 * eps),
-            ])
-            assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(g), 1.0)
+
+        def value(x):
+            return values_at(f, *locate_points(fine_square, x))
+
+        g = gradients_at(f, *locate_points(fine_square, pts))
+        fd = np.column_stack([
+            (value(pts + [eps, 0]) - value(pts - [eps, 0])) / (2 * eps),
+            (value(pts + [0, eps]) - value(pts - [0, eps])) / (2 * eps),
+        ])
+        scale = np.maximum(np.linalg.norm(g, axis=1), 1.0)
+        assert np.all(np.linalg.norm(g - fd, axis=1) <= 1e-5 * scale)
 
 
 class TestIntegrate:
@@ -336,6 +363,16 @@ class TestInterpolate:
         with pytest.raises(InterpolationFailure):
             interpolate(sp, bad)
 
+    @pytest.mark.parametrize("f", [
+        lambda p: 1.0,
+        lambda p: p,
+        lambda p: np.ones(len(p) + 1),
+    ], ids=["scalar", "row_per_point", "wrong_length"])
+    def test_f_must_map_points_to_values(self, fine_square, f):
+        sp = build_space(fine_square, 1)
+        with pytest.raises(ValueError, match="expected"):
+            interpolate(sp, f)
+
 
 class TestConvergence:
     @pytest.mark.parametrize("degree", [1, 2])
@@ -376,12 +413,3 @@ class TestSerialization:
         save_field_binary(f, path)
         with pytest.raises(ValueError):
             load_field_binary(path, sp2)
-
-    def test_json_roundtrip(self, fine_square, tmp_path):
-        meshmod.save_mesh_json(fine_square, tmp_path / "m.json")
-        sp = build_space(fine_square, 2)
-        f = FeField(sp, np.linspace(0, 1, sp.n_dofs))
-        save_field_json(f, tmp_path / "f.json", tmp_path / "m.json")
-        g = load_field_json(tmp_path / "f.json")
-        assert np.allclose(f.coeffs, g.coeffs)
-        assert g.space.degree == 2

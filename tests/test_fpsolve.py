@@ -260,16 +260,12 @@ class TestDiagnostics:
         assert len(table["t"]) == gaussian_run.grid.K + 1
         assert np.all(np.isfinite(table["l1_error"]))
 
-    def test_report_recompute_path(self, gaussian_setup):
-        space, rho0, grad_V, _, g_inf = gaussian_setup
+    def test_report_requires_recorded_metrics(self, gaussian_setup):
+        space, rho0, grad_V, _, _ = gaussian_setup
         grid = make_time_grid(0.2, 20, 1.5)
         traj = solve_fp(space, rho0, grad_V, grid, store_every=1)
-        with pytest.raises(ValueError):
-            diagnostics_report(traj)  # metrics absent, no target given
-        table = diagnostics_report(
-            traj, rho_inf=lambda p: density.gmm_pdf(g_inf, p)
-        )
-        assert np.all(np.isfinite(table["l1_error"]))
+        with pytest.raises(ValueError, match="rho_inf"):
+            diagnostics_report(traj)  # solved without a target
 
     def test_csv_format(self, gaussian_run, tmp_path):
         table = diagnostics_report(gaussian_run)

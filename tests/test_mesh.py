@@ -6,9 +6,9 @@ import pytest
 from fpreg import fem, mesh as meshmod
 from fpreg.errors import InvalidGeometry
 from fpreg.mesh import (
-    OutsideDomain, PointLocation, TriangleMesh, boundary_distance,
-    boundary_distances, generate_rect_with_hole, load_gmsh, load_mesh_json,
-    locate_point, locate_points, save_mesh_json,
+    TriangleMesh, boundary_distances, generate_rect_with_hole, inward_normals,
+    load_gmsh, load_mesh_json, locate_points, nearest_boundary_facets,
+    save_mesh_json,
 )
 
 HOLE_EXACT_AREA = 64.0 - np.pi * 0.25
@@ -227,6 +227,10 @@ class TestEdgeTable:
         assert np.all(owners[pair, 0] < owners[pair, 1])
         assert np.array_equal(m.side_edges.ravel()[owners[pair, 1]],
                               np.where(pair)[0])
+        # the two owners of an interior edge walk it in opposite directions
+        walks = sides.reshape(-1, 2)
+        assert np.array_equal(walks[owners[pair, 0]],
+                              walks[owners[pair, 1]][:, ::-1])
 
     def test_edge_of_three_triangles_rejected(self):
         # a fan of three triangles around the edge (0, 1)
@@ -237,6 +241,18 @@ class TestEdgeTable:
             TriangleMesh(verts, [[0, 1, 2], [1, 0, 3], [0, 1, 4]],
                          validate=False)
 
+    @pytest.mark.parametrize("triangles", [
+        [[0, 1, 2], [0, 1, 2]],
+        [[0, 1, 2], [2, 1, 0]],
+        [[0, 1, 2], [0, 1, 3]],
+    ], ids=["doubled", "doubled_clockwise", "folded"])
+    def test_overlapping_triangles_rejected(self, triangles):
+        verts = [[0, 0], [1, 0], [0, 1], [0.4, 0.4]]
+        with pytest.raises(InvalidGeometry, match="overlap"):
+            TriangleMesh(verts, triangles)
+        with pytest.raises(InvalidGeometry, match="overlap"):
+            TriangleMesh(verts, triangles, validate=False)
+
     @pytest.mark.parametrize("tri", [[0, 1, 5], [0, -1, 2]])
     def test_missing_vertex_rejected(self, tri):
         with pytest.raises(InvalidGeometry, match="missing vertex"):
@@ -246,33 +262,33 @@ class TestEdgeTable:
 class TestLocate:
     def test_centroid_of_first_triangle(self, desk_mesh):
         c = desk_mesh.vertices[desk_mesh.triangles[0]].mean(axis=0)
-        loc = locate_point(desk_mesh, c)
-        assert isinstance(loc, PointLocation)
-        assert loc.triangle == 0
-        assert np.allclose(loc.bary, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
+        tri, bary = locate_points(desk_mesh, c)
+        assert tri[0] == 0
+        assert np.allclose(bary[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_shared_vertex(self, desk_mesh):
         v = desk_mesh.triangles[10][0]
-        loc = locate_point(desk_mesh, desk_mesh.vertices[v])
-        assert isinstance(loc, PointLocation)
-        assert v in desk_mesh.triangles[loc.triangle]
-        assert loc.bary.max() >= 1.0 - 1e-12
+        tri, bary = locate_points(desk_mesh, desk_mesh.vertices[v])
+        assert tri[0] >= 0
+        assert v in desk_mesh.triangles[tri[0]]
+        assert bary[0].max() >= 1.0 - 1e-12
 
     def test_barycentric_sum_and_reconstruction(self, desk_mesh):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-3.9, 3.9, size=(50, 2))
         pts = pts[np.linalg.norm(pts, axis=1) > 0.8]
-        for p in pts:
-            loc = locate_point(desk_mesh, p)
-            assert isinstance(loc, PointLocation)
-            assert abs(loc.bary.sum() - 1.0) <= 1e-12
-            rec = loc.bary @ desk_mesh.vertices[desk_mesh.triangles[loc.triangle]]
-            assert np.linalg.norm(rec - p) <= 1e-10
+        tri, bary = locate_points(desk_mesh, pts)
+        assert np.all(tri >= 0)
+        assert np.abs(bary.sum(axis=1) - 1.0).max() <= 1e-12
+        rec = np.einsum("ni,nid->nd", bary,
+                        desk_mesh.vertices[desk_mesh.triangles[tri]])
+        assert np.linalg.norm(rec - pts, axis=1).max() <= 1e-10
 
     def test_against_exhaustive_oracle(self, desk_mesh):
         rng = np.random.default_rng(123)
         pts = rng.uniform(-4.2, 4.2, size=(1000, 2))
         tri, _ = locate_points(desk_mesh, pts)
+        inside = tri >= 0
         for p, t in zip(pts, tri):
             expected = brute_force_locate(desk_mesh, p)
             if expected == -1:
@@ -280,25 +296,22 @@ class TestLocate:
             else:
                 # any containing triangle is acceptable on shared edges
                 assert t >= 0
-                loc = locate_point(desk_mesh, p, hint=int(t))
-                assert isinstance(loc, PointLocation)
+        # started at the triangle found, each walk stays there
+        again, _ = locate_points(desk_mesh, pts[inside], tri[inside])
+        assert np.array_equal(again, tri[inside])
 
     def test_hint_independence(self, desk_mesh):
         rng = np.random.default_rng(7)
         pts = rng.uniform(-3.9, 3.9, size=(60, 2))
         pts = pts[np.linalg.norm(pts, axis=1) > 0.8]
-        for p in pts:
-            a = locate_point(desk_mesh, p, hint=0)
-            b = locate_point(desk_mesh, p, hint=desk_mesh.num_triangles - 1)
-            assert isinstance(a, PointLocation) and isinstance(b, PointLocation)
-            assert a.triangle == b.triangle
+        a, _ = locate_points(desk_mesh, pts, np.zeros(len(pts)))
+        b, _ = locate_points(desk_mesh, pts,
+                             np.full(len(pts), desk_mesh.num_triangles - 1))
+        assert np.all(a >= 0) and np.all(b >= 0)
+        assert np.array_equal(a, b)
 
     def test_stalled_walks_match_oracle_without_scalar_fallback(
             self, desk_mesh, monkeypatch):
-        def scalar_fallback(*args, **kwargs):
-            raise AssertionError("locate_points fell back to locate_point")
-
-        monkeypatch.setattr(meshmod, "locate_point", scalar_fallback)
         # a few points per block, so the exhaustive pass runs in several
         monkeypatch.setattr(meshmod, "_BLOCK_ELEMS", 7 * desk_mesh.num_triangles)
         rng = np.random.default_rng(31)
@@ -322,27 +335,53 @@ class TestLocate:
         assert (tri[:60] >= 0).all() and (tri[60:] == -1).all()
 
     def test_outside_returns_marker(self, desk_mesh):
-        out = locate_point(desk_mesh, (0.0, 0.0))  # inside the hole
-        assert isinstance(out, OutsideDomain)
-        # nearest point sits on a hole chord: within sagitta of the circle
-        assert abs(np.linalg.norm(out.nearest) - 0.5) <= 0.2**2 / (2 * 0.5)
-        out = locate_point(desk_mesh, (5.0, 0.0))
-        assert isinstance(out, OutsideDomain)
+        pts = np.array([[0.0, 0.0], [5.0, 0.0]])  # inside the hole; beyond
+        tri, bary = locate_points(desk_mesh, pts)
+        assert np.array_equal(tri, [-1, -1]) and not bary.any()
+        facets, nearest, dist = nearest_boundary_facets(desk_mesh, pts)
+        # the nearest point of the first sits on a hole chord: within the
+        # sagitta of the circle
+        assert desk_mesh.boundary_tags[facets[0]] == "hole"
+        assert abs(np.linalg.norm(nearest[0]) - 0.5) <= 0.2**2 / (2 * 0.5)
+        assert np.allclose(nearest[1], [4.0, 0.0], atol=1e-12)
+        assert np.allclose(dist, np.linalg.norm(pts - nearest, axis=1))
+
+
+class TestNearestFacet:
+    def test_matches_distance_pass(self, desk_mesh):
+        pts = np.random.default_rng(12).uniform(-4.5, 4.5, size=(200, 2))
+        facets, nearest, dist = nearest_boundary_facets(desk_mesh, pts)
+        assert np.array_equal(dist, boundary_distances(desk_mesh, pts))
+        segs = desk_mesh.boundary_segments()[facets]
+        # the closest point lies on its facet
+        ab = segs[:, 1] - segs[:, 0]
+        ap = nearest - segs[:, 0]
+        assert np.abs(ab[:, 0] * ap[:, 1] - ab[:, 1] * ap[:, 0]).max() <= 1e-12
+
+    def test_inward_normals_point_into_domain(self, desk_mesh):
+        facets = np.arange(len(desk_mesh.boundary_edges))
+        n = inward_normals(desk_mesh, facets)
+        assert np.allclose(np.linalg.norm(n, axis=1), 1.0)
+        mid = desk_mesh.boundary_segments().mean(axis=1)
+        tri, _ = locate_points(desk_mesh, mid + 1e-3 * n)
+        assert np.all(tri >= 0)
+        tri, _ = locate_points(desk_mesh, mid - 1e-3 * n)
+        assert np.all(tri == -1)
 
 
 class TestBoundaryDistance:
     def test_above_hole(self, desk_mesh):
         h, r = 0.2, 0.5
         d = 0.2
-        got = boundary_distance(desk_mesh, (0.0, r + d))
-        assert abs(got - d) <= h**2 / (2 * r)
+        got = boundary_distances(desk_mesh, (0.0, r + d))
+        assert abs(got[0] - d) <= h**2 / (2 * r)
 
     def test_boundary_vertex_zero(self, desk_mesh):
         v = desk_mesh.boundary_edges[0][0]
-        assert boundary_distance(desk_mesh, desk_mesh.vertices[v]) == 0.0
+        assert boundary_distances(desk_mesh, desk_mesh.vertices[v])[0] == 0.0
 
     def test_straight_wall_exact(self, desk_mesh):
-        assert abs(boundary_distance(desk_mesh, (0.0, 3.7)) - 0.3) < 1e-12
+        assert abs(boundary_distances(desk_mesh, (0.0, 3.7))[0] - 0.3) < 1e-12
 
     def test_lipschitz(self, desk_mesh):
         rng = np.random.default_rng(2)
@@ -380,14 +419,13 @@ class TestBoundaryDistance:
             boundary_distances(square, pts, tag="hole")
         with pytest.raises(InvalidGeometry):
             boundary_distances(square, pts, tag=(None, "hole"))
-        with pytest.raises(InvalidGeometry):
-            boundary_distance(square, pts[0], tag="hole")
 
     def test_tag_filter(self, desk_mesh):
-        d_hole = boundary_distance(desk_mesh, (0.0, 0.7), tag="hole")
-        d_any = boundary_distance(desk_mesh, (0.0, 0.7))
+        p = (0.0, 0.7)
+        d_hole = boundary_distances(desk_mesh, p, tag="hole")[0]
+        d_any = boundary_distances(desk_mesh, p)[0]
         assert abs(d_hole - d_any) < 1e-12  # hole is closest here
-        d_outer = boundary_distance(desk_mesh, (0.0, 0.7), tag="outer")
+        d_outer = boundary_distances(desk_mesh, p, tag="outer")[0]
         assert d_outer > d_hole
 
 

@@ -7,10 +7,17 @@ from fpreg.mesh import (
     HOLE, boundary_distances, generate_rect_with_hole, locate_points,
 )
 from fpreg.particles import (
-    ParticleSet, _Advector, advect_euler, advect_gf, advect_rk2,
-    gf_potential, hausdorff, velocity_at, write_summary_json,
+    DENSITY_FLOOR, ParticleSet, _Advector, _velocities, advect_euler,
+    advect_gf, advect_rk2, gf_potential, hausdorff, write_summary_json,
     write_trajectory_csv,
 )
+
+
+def velocities(points, rho, grad_V, floor=DENSITY_FLOOR, formula="theorem"):
+    """Transport velocities at points inside the domain."""
+    tri, bary = locate_points(rho.space.mesh, points)
+    assert np.all(tri >= 0)
+    return _velocities(rho, grad_V, tri, bary, floor, formula)
 
 
 @pytest.fixture(scope="module")
@@ -39,31 +46,25 @@ class TestVelocity:
         rho = fem.interpolate(space, lambda p: np.ones(len(p)))
         V = fem.interpolate(space, lambda p: p[:, 0])
         grad_V = fem.VectorField.from_gradient(V)
-        u = velocity_at((0.3, 0.4), rho, grad_V)
-        assert np.allclose(u, [-1.0, 0.0], atol=1e-10)
+        u = velocities((0.3, 0.4), rho, grad_V)
+        assert np.allclose(u, [[-1.0, 0.0]], atol=1e-10)
 
     def test_floor_guard(self, big_square):
         space = big_square
         rho = fem.FeField(space, np.zeros(space.n_dofs))
         V = fem.interpolate(space, lambda p: p[:, 0])
         grad_V = fem.VectorField.from_gradient(V)
-        u = velocity_at((0.3, 0.4), rho, grad_V, floor=1e-12)
+        u = velocities((0.3, 0.4), rho, grad_V, floor=1e-12)
         assert np.all(np.isfinite(u))
-        assert np.allclose(u, [-1.0, 0.0], atol=1e-9)  # zero grad / floor
+        assert np.allclose(u, [[-1.0, 0.0]], atol=1e-9)  # zero grad / floor
 
     def test_literal_formula(self, big_square):
         space = big_square
         rho = fem.interpolate(space, lambda p: p[:, 0])
         V = fem.interpolate(space, lambda p: 2.0 * p[:, 1])
         grad_V = fem.VectorField.from_gradient(V)
-        u = velocity_at((0.5, 0.5), rho, grad_V, formula="literal_eq16")
-        assert np.allclose(u, [1.0, 2.0], atol=1e-10)
-
-    def test_outside_rejected(self, big_square):
-        space = big_square
-        rho = fem.interpolate(space, lambda p: np.ones(len(p)))
-        with pytest.raises(ValueError):
-            velocity_at((100.0, 0.0), rho, None)
+        u = velocities((0.5, 0.5), rho, grad_V, formula="literal_eq16")
+        assert np.allclose(u, [[1.0, 2.0]], atol=1e-10)
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_stationary_pair_velocity_vanishes_with_rate(self, degree):
@@ -77,7 +78,7 @@ class TestVelocity:
             rho = fem.interpolate(space, lambda p: density.gmm_pdf(g, p))
             V = fem.interpolate(space, lambda p: -density.gmm_logpdf(g, p))
             grad_V = fem.VectorField.from_gradient(V)
-            u = [velocity_at(p, rho, grad_V) for p in pts]
+            u = velocities(pts, rho, grad_V)
             norms.append(np.max(np.linalg.norm(u, axis=1)))
         rate = np.log2(norms[0] / norms[2]) / 2.0
         assert rate >= degree - 0.3
@@ -174,9 +175,9 @@ class TestRk2:
         rho0 = traj.field(0)
         rho1 = traj.field(1)
         dt = traj.grid.dt(0)
-        u1 = velocity_at(x0[0], rho0, grad_V)
-        u2 = velocity_at(x0[0] + dt * u1, rho1, grad_V)
-        want = x0[0] + 0.5 * dt * (u1 + u2)
+        u1 = velocities(x0, rho0, grad_V)
+        u2 = velocities(x0 + dt * u1, rho1, grad_V)
+        want = (x0 + 0.5 * dt * (u1 + u2))[0]
         assert np.allclose(log.positions[-1][0], want, atol=1e-12)
 
     def test_self_convergence_order(self, big_square):
