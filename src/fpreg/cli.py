@@ -1,11 +1,14 @@
-"""Configuration-driven pipeline runner.
+"""The `fpreg` command: runs the steps of `fpreg.pipeline` and keeps their
+results in a run directory.
 
     fpreg <meshgen|fitgmm|gencloud|solve|trace|report> --config <path>
-          [--out <dir>] [--seed <u64>]
+          [--out <dir>] [--run <dir>] [--seed <u64>]
 
-All commands read one JSON configuration document. Exit codes: 0 on
-success, 2 on usage/configuration errors, 3 on numerical failures; errors
-are reported as a single JSON line on standard error.
+All commands read one JSON configuration document. `--seed` overrides the
+configured seed of `gencloud`, `fitgmm` and `trace`, the commands that draw
+or fit points; the others reject it. Exit codes: 0 on success, 2 on
+usage/configuration errors, 3 on numerical failures; errors are reported as
+a single JSON line on standard error.
 """
 
 from __future__ import annotations
@@ -17,130 +20,12 @@ import sys
 
 import numpy as np
 
-from . import _svg, boundary, density, fem, fpsolve, mesh as meshmod
+from . import _svg, density, fem, fpsolve, mesh as meshmod, pipeline
 from . import particles as particlesmod
 from .errors import CollapseFailure, FpregError, SolveFailure
-
-
-class ConfigError(Exception):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-
-class RunConfig:
-    """Validated view of the configuration document."""
-
-    def __init__(self, doc, base_dir="."):
-        if not isinstance(doc, dict):
-            raise ConfigError("configuration root must be a JSON object")
-        self.doc = doc
-        self.base_dir = base_dir
-
-    @classmethod
-    def load(cls, path):
-        try:
-            with open(path) as f:
-                text = f.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: "
-                f"{exc.msg}"
-            ) from exc
-        return cls(doc, base_dir=os.path.dirname(os.path.abspath(path)))
-
-    def path(self, rel):
-        p = rel if os.path.isabs(rel) else os.path.join(self.base_dir, rel)
-        if not os.path.exists(p):
-            raise ConfigError(f"referenced file does not exist: {rel}")
-        return p
-
-    def section(self, name, required=True):
-        sec = self.doc.get(name)
-        if sec is None:
-            if required:
-                raise ConfigError(f"config is missing the '{name}' section")
-            return {}
-        return sec
-
-    # --- builders ---------------------------------------------------------
-
-    def build_mesh(self):
-        dom = self.section("domain")
-        if "mesh_file" in dom:
-            return meshmod.load_mesh_json(self.path(dom["mesh_file"]))
-        try:
-            return meshmod.generate_rect_with_hole(
-                dom["x_range"], dom["y_range"],
-                dom.get("hole_center", (0.0, 0.0)),
-                dom.get("hole_radius", 0.0),
-                dom["target_h"],
-            )
-        except KeyError as exc:
-            raise ConfigError(f"domain section is missing {exc}") from exc
-
-    def build_space(self, mesh):
-        degree = self.section("fe").get("degree", 2)
-        return fem.build_space(mesh, degree)
-
-    def build_grid(self):
-        t = self.section("time")
-        try:
-            return fpsolve.make_time_grid(t["T"], t["K"], t.get("power", 1.5))
-        except KeyError as exc:
-            raise ConfigError(f"time section is missing {exc}") from exc
-
-    def resolve_density(self, name, seed=None):
-        spec = self.section(name)
-        if "gaussian" in spec:
-            g = spec["gaussian"]
-            cov = g.get("cov", 1.0)
-            cov = np.asarray(cov, dtype=float)
-            if cov.ndim == 0:
-                cov = float(cov) * np.eye(2)
-            return density.Gmm([1.0], [g["mean"]], [cov])
-        if "gmm_file" in spec:
-            return density.gmm_from_json(self.path(spec["gmm_file"]))
-        if "fit_cloud" in spec:
-            pts = density.load_points_csv(self.path(spec["fit_cloud"]))
-            kr = spec.get("k_range", (1, 8))
-            g, _ = density.select_by_aic(
-                pts, kr, cov_reg=spec.get("cov_reg", 1e-2),
-                seed=seed if seed is not None else spec.get("seed", 0),
-            )
-            return g
-        if "arc" in spec:
-            pts = arc_cloud_from_spec(spec["arc"], seed)
-            kr = spec.get("k_range", (1, 8))
-            g, _ = density.select_by_aic(
-                pts, kr, cov_reg=spec.get("cov_reg", 1e-2),
-                seed=spec.get("fit_seed", 0),
-            )
-            return g
-        raise ConfigError(
-            f"'{name}' must give gaussian, gmm_file, fit_cloud or arc"
-        )
-
-
-def arc_cloud_from_spec(spec, seed=None):
-    """Point cloud on a noisy circular arc (uniform noise in [0, scale]^2)."""
-    n = int(spec["n"])
-    theta0 = float(spec["theta0"])
-    dtheta = float(spec["dtheta"])
-    noise = float(spec.get("noise", 0.1))
-    s = seed if seed is not None else spec.get("seed", 0)
-    i = np.arange(n)
-    denom = max(n - 1, 1)
-    ang = theta0 + dtheta * i / denom
-    pts = np.column_stack([np.cos(ang), np.sin(ang)])
-    rng = np.random.default_rng(int(s))
-    return pts + noise * rng.uniform(0.0, 1.0, size=(n, 2))
+from .pipeline import (
+    ConfigError, RunConfig, arc_cloud_from_spec, target_arc_spec,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -192,23 +77,10 @@ def cmd_fitgmm(cfg, args):
     return 0
 
 
-def _target_arc_spec(cloud):
-    """The arc spec of the target cloud described by a `cloud` section.
-
-    The target has `m` points (default `n`), starts at `theta_inf` and uses
-    `target_seed` (default `seed` + 1000).
-    """
-    spec = dict(cloud)
-    spec["n"] = spec.get("m", spec["n"])
-    spec["theta0"] = spec["theta_inf"]
-    spec["seed"] = spec.get("target_seed", spec.get("seed", 0) + 1000)
-    return spec
-
-
 def cmd_gencloud(cfg, args):
     spec = cfg.section("cloud")
     if spec.get("which", "reference") == "target":
-        spec = _target_arc_spec(spec)
+        spec = target_arc_spec(spec)
     pts = arc_cloud_from_spec(spec, args.seed)
     out = _outdir(cfg, args)
     path = os.path.join(out, "points.csv")
@@ -217,45 +89,15 @@ def cmd_gencloud(cfg, args):
     return 0
 
 
-def _potential_fields(cfg, space, g_inf):
-    bnd = cfg.section("boundary", required=False)
-    eps = float(bnd.get("eps", 0.0))
-    params = boundary.SmootherParams(
-        delta=float(bnd.get("delta", 1e-2)),
-        tol=float(bnd.get("tol", 1e-2)),
-        sigma_beta=float(bnd.get("sigma_beta", 10.0)),
-    )
-    if eps > 0:
-        w = boundary.raw_distance_field(space, params.tol)
-        w_delta = boundary.smooth_distance(space, w, params)
-    else:
-        w_delta = fem.FeField(space, np.full(space.n_dofs, params.tol))
-    return boundary.regularized_potential(g_inf, w_delta, eps)
-
-
 def cmd_solve(cfg, args):
     out = _outdir(cfg, args)
-    mesh = cfg.build_mesh()
-    space = cfg.build_space(mesh)
-    grid = cfg.build_grid()
-    g0 = cfg.resolve_density("rho0")
-    g_inf = cfg.resolve_density("rho_inf")
-    V, grad_V = _potential_fields(cfg, space, g_inf)
-    rho0 = fem.interpolate(space, lambda p: density.gmm_pdf(g0, p))
+    s = pipeline.setup(cfg)
+    traj = pipeline.solve(cfg, s)
 
-    traj = fpsolve.solve_fp(
-        space, rho0, grad_V, grid,
-        supg=bool(cfg.doc.get("supg", True)),
-        rho_inf=lambda p: density.gmm_pdf(g_inf, p),
-        store_every=int(cfg.doc.get("store_every", 1)),
-        snapshot_times=cfg.doc.get("snapshot_times"),
-        renormalize=bool(cfg.doc.get("renormalize_rho0", False)),
-    )
-
-    meshmod.save_mesh_json(mesh, os.path.join(out, "mesh.json"))
-    density.gmm_to_json(g0, os.path.join(out, "gmm_rho0.json"))
-    density.gmm_to_json(g_inf, os.path.join(out, "gmm_rhoinf.json"))
-    fem.save_field_binary(V, os.path.join(out, "V.fpfld"))
+    meshmod.save_mesh_json(s.mesh, os.path.join(out, "mesh.json"))
+    density.gmm_to_json(s.g0, os.path.join(out, "gmm_rho0.json"))
+    density.gmm_to_json(s.g_inf, os.path.join(out, "gmm_rhoinf.json"))
+    fem.save_field_binary(s.V, os.path.join(out, "V.fpfld"))
     table = fpsolve.diagnostics_report(traj)
     fpsolve.write_diagnostics_csv(table, os.path.join(out, "diagnostics.csv"))
     for k in traj.ks:
@@ -264,9 +106,9 @@ def cmd_solve(cfg, args):
         )
     with open(os.path.join(out, "run.json"), "w") as f:
         json.dump({
-            "n_hf": space.n_dofs,
-            "degree": space.degree,
-            "grid": {"T": grid.T, "K": grid.K, "power": grid.power},
+            "n_hf": s.space.n_dofs,
+            "degree": s.space.degree,
+            "grid": {"T": s.grid.T, "K": s.grid.K, "power": s.grid.power},
             "supg": bool(cfg.doc.get("supg", True)),
             "mass_deficit": traj.mass_deficit,
             "stored_steps": [int(k) for k in traj.ks],
@@ -278,7 +120,7 @@ def cmd_solve(cfg, args):
         }, f, sort_keys=True, indent=2)
     print(json.dumps({
         "out": out,
-        "n_hf": space.n_dofs,
+        "n_hf": s.space.n_dofs,
         "final_l1": table["l1_error"][-1],
         "final_kl": table["kl"][-1],
     }, sort_keys=True))
@@ -286,6 +128,7 @@ def cmd_solve(cfg, args):
 
 
 def _load_run(cfg, run_dir):
+    """The density trajectory stored by `solve` in run_dir."""
     mesh = meshmod.load_mesh_json(os.path.join(run_dir, "mesh.json"))
     space = cfg.build_space(mesh)
     with open(os.path.join(run_dir, "run.json")) as f:
@@ -298,23 +141,8 @@ def _load_run(cfg, run_dir):
             os.path.join(run_dir, f"rho_{int(k):06d}.fpfld"), space
         ).coeffs
     diag = {"k": np.arange(grid.K + 1), "t": grid.times.copy()}
-    traj = fpsolve.DensityTrajectory(space, grid, ks, snaps, diag,
+    return fpsolve.DensityTrajectory(space, grid, ks, snaps, diag,
                                      meta.get("mass_deficit", 0.0))
-    return mesh, space, grid, traj
-
-
-def _particle_cloud(cfg, run_dir, args):
-    spec = cfg.section("particles")
-    if "cloud_file" in spec:
-        return density.load_points_csv(cfg.path(spec["cloud_file"]))
-    if "from_rho0" in spec:
-        sub = spec["from_rho0"]
-        g0 = density.gmm_from_json(os.path.join(run_dir, "gmm_rho0.json"))
-        seed = args.seed if args.seed is not None else sub.get("seed", 0)
-        return density.sample(g0, int(sub["n"]), seed)
-    if "arc" in spec:
-        return arc_cloud_from_spec(spec["arc"], args.seed)
-    raise ConfigError("'particles' must give cloud_file, from_rho0 or arc")
 
 
 def cmd_trace(cfg, args):
@@ -323,38 +151,14 @@ def cmd_trace(cfg, args):
         raise ConfigError(f"{run_dir} does not contain a solve run")
     out = args.out or run_dir
     os.makedirs(out, exist_ok=True)
-    _, space, grid, traj = _load_run(cfg, run_dir)
+    traj = _load_run(cfg, run_dir)
+    # the drift of the solve, whatever the config says now
+    V = fem.load_field_binary(os.path.join(run_dir, "V.fpfld"), traj.space)
+    g0 = density.gmm_from_json(os.path.join(run_dir, "gmm_rho0.json"))
+    cloud = pipeline.particle_cloud(cfg, g0, args.seed)
+    log = pipeline.transport(cfg, traj, fem.VectorField.from_gradient(V), cloud)
 
-    integ = cfg.section("integrator", required=False)
-    method = integ.get("method", "euler")
-    pts = _particle_cloud(cfg, run_dir, args)
-    pset = particlesmod.ParticleSet(pts)
-    common = dict(
-        boundary=integ.get("boundary_policy", "project"),
-        project_tol=float(integ.get("project_tol", 1e-2)),
-    )
-    if method in ("euler", "rk2"):
-        # the drift of the solve, whatever the config says now
-        V = fem.load_field_binary(os.path.join(run_dir, "V.fpfld"), space)
-        grad_V = fem.VectorField.from_gradient(V)
-        kw = dict(common, formula=integ.get("velocity_formula", "theorem"))
-        if method == "euler":
-            log = particlesmod.advect_euler(pset, traj, grad_V, grid, **kw)
-        else:
-            log = particlesmod.advect_rk2(
-                pset, traj, grad_V, grid,
-                substeps=int(integ.get("rk2_substeps", 1)), **kw,
-            )
-    elif method == "gf":
-        max_speed = integ.get("max_speed")
-        log = particlesmod.advect_gf(
-            pset, traj, eps_gf=float(integ.get("eps_gf", 1e-10)),
-            max_speed=None if max_speed is None else float(max_speed),
-            **common,
-        )
-    else:
-        raise ConfigError(f"unknown integrator method {method!r}")
-
+    method = cfg.section("integrator", required=False).get("method", "euler")
     particlesmod.write_trajectory_csv(log, os.path.join(out, "trajectories.csv"))
     particlesmod.write_summary_json(
         log, os.path.join(out, "summary.json"), extra={"integrator": method}
@@ -368,11 +172,6 @@ def cmd_trace(cfg, args):
     return 0
 
 
-def _read_diagnostics(path):
-    rows = np.genfromtxt(path, delimiter=",", names=True)
-    return rows
-
-
 def cmd_report(cfg, args):
     run_dir = args.run or cfg.doc.get("out_dir") or "."
     diag_path = os.path.join(run_dir, "diagnostics.csv")
@@ -380,7 +179,7 @@ def cmd_report(cfg, args):
         raise ConfigError(f"{run_dir} has no diagnostics.csv")
     out = args.out or run_dir
     os.makedirs(out, exist_ok=True)
-    d = _read_diagnostics(diag_path)
+    d = np.genfromtxt(diag_path, delimiter=",", names=True)
     t = np.atleast_1d(d["t"])
     l1 = np.atleast_1d(d["l1_error"])
     kl = np.atleast_1d(d["kl"])
@@ -412,10 +211,10 @@ def cmd_report(cfg, args):
     # final density contours
     run_meta_path = os.path.join(run_dir, "run.json")
     if os.path.exists(run_meta_path):
-        mesh_, space, grid, traj = _load_run(cfg, run_dir)
+        traj = _load_run(cfg, run_dir)
         kfin = int(traj.ks[-1])
         fig = _svg.field_contour_figure(
-            space, traj.field(kfin).coeffs, title=f"density at step {kfin}"
+            traj.space, traj.field(kfin).coeffs, title=f"density at step {kfin}"
         )
         fig.save(os.path.join(out, "density_final.svg"))
 
@@ -438,7 +237,7 @@ def cmd_report(cfg, args):
         target = None
         cloud = cfg.doc.get("cloud")
         if cloud and "theta_inf" in cloud:
-            target = arc_cloud_from_spec(_target_arc_spec(cloud))
+            target = arc_cloud_from_spec(target_arc_spec(cloud))
         rep = cfg.section("report", required=False)
         if target is None and "target_cloud" in rep:
             target = density.load_points_csv(cfg.path(rep["target_cloud"]))
@@ -487,6 +286,9 @@ _COMMANDS = {
 }
 
 
+_SEEDED = ("gencloud", "fitgmm", "trace")
+
+
 def _fail(kind, message, code):
     sys.stderr.write(json.dumps(
         {"error": kind, "message": str(message)}, sort_keys=True
@@ -505,12 +307,16 @@ def main(argv=None):
     parser.add_argument("--run", default=None,
                         help="existing run directory (trace/report)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the configured seed")
+                        help="override the configured seed "
+                             "(gencloud, fitgmm and trace only)")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
+    if args.seed is not None and args.command not in _SEEDED:
+        return _fail("config", f"{args.command} takes no --seed; only "
+                               f"{', '.join(_SEEDED)} do", 2)
     try:
         cfg = RunConfig.load(args.config)
         return _COMMANDS[args.command](cfg, args)

@@ -11,7 +11,7 @@ import pytest
 from fpreg import analytic, boundary, density, fem, fpsolve, particles
 from fpreg.mesh import generate_rect_with_hole, locate_points
 
-from conftest import BENCH, T1, T2
+from conftest import BENCH
 
 
 def _report(num, ok, detail):
@@ -58,12 +58,12 @@ def test_criterion_2_gaussian_oracle_convergence(bench_run):
 
     g_inf = bench_run["g_inf"]
     g0 = bench_run["g0"]
-    mesh = generate_rect_with_hole((-8, 8), (-8, 8), (0, 0), 0.0,
-                                   BENCH["h"] / 2)
+    h, K = BENCH["domain"]["target_h"], BENCH["time"]["K"]
+    mesh = generate_rect_with_hole((-8, 8), (-8, 8), (0, 0), 0.0, h / 2)
     space = fem.build_space(mesh, 1)
     V = fem.interpolate(space, lambda p: -density.gmm_logpdf(g_inf, p))
     rho0 = fem.interpolate(space, lambda p: density.gmm_pdf(g0, p))
-    grid = fpsolve.make_time_grid(BENCH["T"], 2 * BENCH["K"], 1.5)
+    grid = fpsolve.make_time_grid(BENCH["time"]["T"], 2 * K, 1.5)
     refined = fpsolve.solve_fp(space, rho0, fem.VectorField.from_gradient(V),
                                grid, supg=False, store_every=0,
                                snapshot_times=[0.1, 0.5, 1.0])
@@ -81,7 +81,7 @@ def test_criterion_2_gaussian_oracle_convergence(bench_run):
     # measured behavior is a clean quartering (second-order method), which
     # is accepted as stronger-than-required convergence
     ok = base_err <= 0.02 and 0.10 <= ratio <= 0.65 and l1_fine < l1_base
-    _report(2, ok, f"rel L2 error {base_err:.4f} (<= 0.02) at h={BENCH['h']}, "
+    _report(2, ok, f"rel L2 error {base_err:.4f} (<= 0.02) at h={h}, "
                    f"refinement ratio {ratio:.3f} (in [0.10, 0.65]), "
                    f"final L1 {l1_base:.2e} -> {l1_fine:.2e}")
 
@@ -204,14 +204,14 @@ def test_criterion_7_gf_beats_euler(test2_run):
 
 def test_criterion_8_smoother_sanity(test1_setup):
     """Constant reproduction, exact boundary values, jump reduction."""
-    space = test1_setup["space"]
-    params = test1_setup["params"]
+    space = test1_setup.space
+    params = boundary.SmootherParams(delta=1e-2, tol=1e-2)
     wc = fem.FeField(space, np.full(space.n_dofs, params.tol))
     out = boundary.smooth_distance(space, wc, params)
     const_err = float(np.abs(out.coeffs - params.tol).max())
 
-    w = test1_setup["raw_w"]
-    wd = test1_setup["w_delta"]
+    w = boundary.raw_distance_field(space, params.tol)
+    wd = boundary.smooth_distance(space, w, params)
     bd = space.boundary_dofs()
     bc_exact = bool(np.all(wd.coeffs[bd] == params.tol))
     j_raw = boundary.gradient_jump_seminorm(w)

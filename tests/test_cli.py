@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from fpreg import boundary, cli, particles
-from fpreg.density import load_points_csv
+from fpreg import boundary, cli, density, fem, fpsolve, particles, pipeline
+from fpreg.density import load_points_csv, save_points_csv
 from fpreg.errors import SolveFailure
 from fpreg.mesh import load_mesh_json
 
@@ -186,7 +186,6 @@ class TestFitgmm:
     def test_single_component_range(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(60, 2)) * 0.2 + [1.0, -0.5]
-        from fpreg.density import save_points_csv
         save_points_csv(pts, tmp_path / "pts.csv")
         cfg = write_config(tmp_path / "fit.json", {
             "fitgmm": {"points": str(tmp_path / "pts.csv"),
@@ -338,6 +337,88 @@ class TestPipeline:
         assert run_cli(["solve", "--config", tiny_config]) == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "numerical"
+
+    def test_cli_runs_the_pipeline(self, tmp_path, tiny_config, capsys):
+        for command in ("solve", "trace"):
+            assert run_cli([command, "--config", tiny_config]) == 0
+            capsys.readouterr()
+        run_dir = tmp_path / "run"
+
+        cfg = pipeline.RunConfig.load(tiny_config)
+        s = pipeline.setup(cfg)
+        traj = pipeline.solve(cfg, s)
+        log = pipeline.transport(cfg, traj, s.grad_V,
+                                 pipeline.particle_cloud(cfg, s.g0))
+
+        for k in traj.ks:
+            stored = fem.load_field_binary(run_dir / f"rho_{int(k):06d}.fpfld",
+                                           s.space)
+            assert np.array_equal(stored.coeffs, traj.field(int(k)).coeffs)
+        rows = np.genfromtxt(run_dir / "diagnostics.csv", delimiter=",",
+                             names=True)
+        table = fpsolve.diagnostics_report(traj)
+        for name in rows.dtype.names:
+            assert np.array_equal(rows[name], table[name])
+        rows = np.genfromtxt(run_dir / "trajectories.csv", delimiter=",",
+                             names=True)
+        xy = np.column_stack([rows["x"], rows["y"]])
+        assert np.array_equal(xy, log.positions.reshape(-1, 2))
+
+    def test_point_and_mixture_files(self, tmp_path, tiny_config, capsys,
+                                     monkeypatch):
+        # fitgmm -> solve (rho_inf.gmm_file, rho0.fit_cloud) -> trace
+        # (particles.cloud_file) -> report (report.target_cloud)
+        rng = np.random.default_rng(5)
+        src = rng.normal(scale=0.2, size=(40, 2)) + [-1.0, 0.0]
+        tgt = rng.normal(scale=0.2, size=(40, 2)) + [1.0, 0.0]
+        save_points_csv(src, tmp_path / "src.csv")
+        save_points_csv(tgt, tmp_path / "tgt.csv")
+        fit = write_config(tmp_path / "fit.json", {
+            "fitgmm": {"points": "tgt.csv", "k_range": [1, 2]},
+            "out_dir": str(tmp_path / "fit"),
+        })
+        assert run_cli(["fitgmm", "--config", fit]) == 0
+        capsys.readouterr()
+
+        seeds = []
+        select_by_aic = density.select_by_aic
+
+        def recording(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return select_by_aic(*args, **kwargs)
+
+        monkeypatch.setattr(density, "select_by_aic", recording)
+        doc = json.load(open(tiny_config))
+        doc["rho0"] = {"fit_cloud": "src.csv", "k_range": [1, 2],
+                       "fit_seed": 4}
+        doc["rho_inf"] = {"gmm_file": "fit/gmm.json"}
+        doc["particles"] = {"cloud_file": "src.csv"}
+        doc["report"] = {"target_cloud": "tgt.csv"}
+        cfg = write_config(tmp_path / "files.json", doc)
+        for command in ("solve", "trace", "report"):
+            assert run_cli([command, "--config", cfg]) == 0
+            capsys.readouterr()
+        run_dir = tmp_path / "run"
+
+        assert seeds == [4]
+        g_inf = json.load(open(run_dir / "gmm_rhoinf.json"))
+        assert g_inf == json.load(open(tmp_path / "fit" / "gmm.json"))
+        rows = np.genfromtxt(run_dir / "trajectories.csv", delimiter=",",
+                             names=True)
+        first = rows[rows["k"] == 0]
+        assert np.array_equal(np.column_stack([first["x"], first["y"]]), src)
+        final = rows[rows["k"] == rows["k"].max()]
+        report = json.load(open(run_dir / "report.json"))
+        assert report["hausdorff_final_to_target"] == particles.hausdorff(
+            np.column_stack([final["x"], final["y"]]), tgt)
+
+    @pytest.mark.parametrize("command", ["meshgen", "solve", "report"])
+    def test_seed_rejected_where_nothing_is_drawn(self, tiny_config, capsys,
+                                                  command):
+        assert run_cli([command, "--config", tiny_config, "--seed", "3"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert "--seed" in err["message"]
 
     def test_report_without_run_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "r.json", {"out_dir": str(tmp_path)})
